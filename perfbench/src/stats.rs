@@ -1,0 +1,37 @@
+//! Order statistics over samples.
+
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
+}
+
+/// Quantile `q` in `[0, 1]` with linear interpolation between order
+/// statistics; 0 for no samples.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    let v = sorted(xs);
+    let pos = q * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
+        assert_eq!(quantile(&[0.0, 10.0], 0.9), 9.0);
+        assert_eq!(median(&[]), 0.0);
+    }
+}
