@@ -23,7 +23,7 @@
 use rand::prelude::*;
 use spttn::exec::naive_einsum;
 use spttn::ir::Kernel;
-use spttn::tensor::{load_coo, random_dense, read_tns, CooTensor, Csf, DenseTensor};
+use spttn::tensor::{load_coo, max_abs_diff, random_dense, read_tns, CooTensor, Csf, DenseTensor};
 use spttn::{
     Contraction, ContractionOutput, CostModel, Engine, Microkernels, ModeOrderPolicy, Plan,
     PlanOptions, RunBudget, Shapes, SpttnError, Threads,
@@ -476,19 +476,19 @@ fn print_plan(plan: &Plan) {
             } else {
                 ""
             };
-            match oc.flops {
-                Some(f) => println!(
-                    "  ({}): ~{f} flops, cost {}{marker}",
+            match (oc.flops, oc.traversal, oc.work) {
+                (Some(f), Some(t), Some(w)) => println!(
+                    "  ({}): ~{f} flops, ~{t} traversal, ~{w} work, cost {}{marker}",
                     as_names.join(","),
                     oc.cost
                 ),
-                None => println!("  ({}): infeasible", as_names.join(",")),
+                _ => println!("  ({}): infeasible", as_names.join(",")),
             }
         }
     }
     println!(
-        "modeled: ~{} flops (tier {}, cost {})",
-        plan.flops, plan.tier, plan.cost
+        "modeled: ~{} flops, ~{} traversal, ~{} work (tier {}, cost {})",
+        plan.flops, plan.traversal, plan.work, plan.tier, plan.cost
     );
 }
 
@@ -515,12 +515,7 @@ fn check_against_oracle(
         ContractionOutput::Dense(d) => d.clone(),
         ContractionOutput::Sparse(c) => c.to_dense(),
     };
-    got_dense
-        .as_slice()
-        .iter()
-        .zip(want.as_slice())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max)
+    max_abs_diff(got_dense.as_slice(), want.as_slice())
 }
 
 /// Print the ingest line and return the loaded COO tensor (if any).
@@ -571,7 +566,7 @@ fn dedup_named(factors: &[(String, DenseTensor)]) -> Vec<(&str, &DenseTensor)> {
 
 fn report_check(diff: f64) {
     println!("check: max |Δ| vs naive oracle = {diff:.3e}");
-    if diff.is_nan() || diff > CHECK_TOL {
+    if diff > CHECK_TOL {
         eprintln!("error: oracle mismatch exceeds {CHECK_TOL:e}");
         std::process::exit(2);
     }

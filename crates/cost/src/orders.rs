@@ -12,10 +12,13 @@
 //! plan; [`plan_mode_orders`] does the same here by running the full
 //! Sec. 5 pipeline once per candidate order and keeping the winner.
 //!
-//! Orders are compared by leading-order op count first (the paper's
-//! tier criterion), tie-broken by the nest's tree-separable cost value;
-//! remaining ties keep the earliest candidate, so the natural order —
-//! always listed first — wins when nothing beats it. Candidate sets
+//! Orders are compared by their winning nests under the key [`plan`]
+//! selects nests by: modeled work (`flops + 2·traversal`), then the
+//! tree-separable cost value, then the op count; remaining ties keep
+//! the earliest candidate, so the natural order — always listed first —
+//! wins when nothing beats it. Work, not the op count alone, is what
+//! lets the search prefer an order whose tree has fewer fibers to walk
+//! at the same op count. Candidate sets
 //! come from [`candidate_orders`]: exhaustive for up to
 //! [`EXHAUSTIVE_ORDER_LIMIT`] modes (4! = 24 planner runs), pruned to a
 //! small structured family above that.
@@ -58,6 +61,12 @@ pub struct OrderCost {
     /// Leading-order op count of the best nest under this order, or
     /// `None` when no feasible nest exists for it.
     pub flops: Option<u128>,
+    /// Modeled sparse traversal of that nest (see
+    /// [`crate::Traversal`]), `None` when infeasible.
+    pub traversal: Option<u128>,
+    /// Modeled work `flops + 2·traversal` of that nest — the ranking
+    /// key — or `None` when infeasible.
+    pub work: Option<u128>,
     /// Debug rendering of the best nest's cost value (empty when
     /// infeasible).
     pub cost: String,
@@ -145,7 +154,7 @@ fn permutations(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
 /// `σ` plans `kernel.permute_sparse_modes(σ)` against the profile
 /// `profile_for(σ)` supplies (exact per-order counts when the caller
 /// has the pattern, a model otherwise — returning `None` skips the
-/// candidate). Winners are chosen by `(flops, cost value)` with ties
+/// candidate). Winners are chosen by `(work, cost value, flops)` with ties
 /// keeping the earlier candidate, so the natural order is preferred
 /// when equivalent. Returns `None` when no candidate admits a feasible
 /// nest.
@@ -169,20 +178,15 @@ pub fn plan_mode_orders<C: TreeCost>(
         explored.push(OrderCost {
             order: order.clone(),
             flops: planned.as_ref().map(|p| p.flops),
+            traversal: planned.as_ref().map(|p| p.traversal),
+            work: planned.as_ref().map(|p| p.work),
             cost: planned
                 .as_ref()
                 .map(|p| format!("{:?}", p.value))
                 .unwrap_or_default(),
         });
         let Some(planned) = planned else { continue };
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                planned.flops < b.planned.flops
-                    || (planned.flops == b.planned.flops && planned.value < b.planned.value)
-            }
-        };
-        if better {
+        if best.as_ref().is_none_or(|b| planned.beats(&b.planned)) {
             best = Some(OrderSearch {
                 order: order.clone(),
                 kernel: permuted,

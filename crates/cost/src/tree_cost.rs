@@ -48,14 +48,7 @@ impl<'a> VertexCtx<'a> {
     /// full dimension for dense loops, the mean CSF branching factor for
     /// sparse loops.
     pub fn iterations(&self) -> f64 {
-        match self.kind {
-            VertexKind::Dense => self.kernel.dim(self.index) as f64,
-            VertexKind::Sparse { level } => {
-                let up = self.profile.prefix_nnz(level + 1) as f64;
-                let down = self.profile.prefix_nnz(level).max(1) as f64;
-                up / down
-            }
-        }
+        self.kind.trips(self.kernel, self.index, self.profile)
     }
 
     /// Buffers that split at this vertex: producer in `[lo, hi)`,

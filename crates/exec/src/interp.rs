@@ -386,13 +386,13 @@ pub(crate) fn forest_stamp(forest: &LoopForest) -> u64 {
 
 impl Workspace {
     /// Build a workspace for a planned nest, inferring buffer specs via
-    /// [`buffers_for_forest`].
+    /// [`buffers_for_forest`] without a profile (producer-order layout).
     pub fn new(kernel: &Kernel, path: &ContractionPath, forest: &LoopForest) -> Self {
         Self::from_specs(
             kernel,
             path,
             forest,
-            &buffers_for_forest(kernel, path, forest),
+            &buffers_for_forest(kernel, path, forest, None),
         )
     }
 

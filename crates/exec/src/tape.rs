@@ -587,7 +587,8 @@ impl CompiledTape {
         })
     }
 
-    /// Convenience: compile with freshly inferred buffer specs.
+    /// Convenience: compile with freshly inferred buffer specs
+    /// (producer-order layout, as [`crate::Workspace::new`] infers).
     pub fn from_forest(
         kernel: &Kernel,
         path: &ContractionPath,
@@ -597,7 +598,7 @@ impl CompiledTape {
             kernel,
             path,
             forest,
-            &buffers_for_forest(kernel, path, forest),
+            &buffers_for_forest(kernel, path, forest, None),
         )
     }
 

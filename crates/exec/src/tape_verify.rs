@@ -1222,7 +1222,7 @@ mod tests {
             orders: vec![vec![1, 2], vec![0, 1, 2]],
         };
         let forest = build_forest(&k, &path, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &path, &forest);
+        let bufs = buffers_for_forest(&k, &path, &forest, None);
         CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::auto_detected())
             .unwrap()
     }
@@ -1241,7 +1241,7 @@ mod tests {
             orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         };
         let forest = build_forest(&k, &path, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &path, &forest);
+        let bufs = buffers_for_forest(&k, &path, &forest, None);
         CompiledTape::compile_with_kernels(&k, &path, &forest, &bufs, KernelSet::auto_detected())
             .unwrap()
     }

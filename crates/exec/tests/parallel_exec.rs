@@ -121,7 +121,7 @@ fn parallel_executor_matches_serial_and_is_deterministic() {
     let fixture = ttmc_fixture(21);
     let want = serial(&fixture).to_dense();
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
+    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
     for threads in [2, 4, 7] {
         let mut par = ParallelExecutor::new(
             &fixture.kernel,
@@ -158,7 +158,7 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
     let fixture = tttp_fixture(22);
     let want = serial(&fixture).to_dense();
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
+    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
     let mut par = ParallelExecutor::new(
         &fixture.kernel,
         &fixture.path,
@@ -209,7 +209,7 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
 fn parallel_executor_rejects_different_structure() {
     let fixture = ttmc_fixture(31);
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest);
+    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
     let mut par = ParallelExecutor::new(
         &fixture.kernel,
         &fixture.path,

@@ -7,11 +7,19 @@
 //! indices need storage. This is what shrinks the order-3 TTMc
 //! intermediate from `I×J×S` (unfused, Listing 2) to `S` (Listing 3) to
 //! a scalar (Listing 4).
+//!
+//! Eq. 5 fixes *which* indices a buffer stores, not their layout. A
+//! buffer is laid out in the loop order of its hotter side — producer
+//! or consumer, whichever leaf the profile models as executing more
+//! often — so that side's innermost loop walks it contiguously (and
+//! the bind-time compiler can hand it to a unit-stride, rank-specialized
+//! microkernel). Ties keep the producer's order.
 
 use crate::fuse::LoopForest;
 use crate::index::{IdxSet, IndexId};
 use crate::kernel::Kernel;
 use crate::path::ContractionPath;
+use spttn_tensor::SparsityProfile;
 
 /// A dense intermediate buffer of a fused loop nest.
 ///
@@ -24,8 +32,9 @@ pub struct BufferSpec {
     pub producer: usize,
     /// Term consuming the buffer.
     pub consumer: usize,
-    /// Stored indices, ordered by producer loop-order position (so the
-    /// producer's innermost loop writes contiguously).
+    /// Stored indices, ordered by loop-order position on the buffer's
+    /// hotter side (see [`buffers_for_forest`]), so that side's
+    /// innermost loop touches it contiguously.
     pub inds: Vec<IndexId>,
     /// Dimensions matching `inds`.
     pub dims: Vec<usize>,
@@ -82,23 +91,33 @@ pub(crate) fn row_major_strides(dims: &[usize]) -> Vec<usize> {
 }
 
 /// Compute the buffer of every non-final term for a fused forest.
+///
+/// Each buffer's stored indices follow the loop order of its hotter
+/// side: the consumer's when `profile` models the consumer's leaf as
+/// executing more often than the producer's, the producer's otherwise
+/// (ties, and every buffer when no profile is given).
 pub fn buffers_for_forest(
     kernel: &Kernel,
     path: &ContractionPath,
     forest: &LoopForest,
+    profile: Option<&SparsityProfile>,
 ) -> Vec<BufferSpec> {
     let n = path.len();
     let common = forest.common_ancestor_sets(n);
     let ancestors = forest.ancestors(n);
+    let trips = profile.map(|p| forest.leaf_trips(kernel, p, n));
     let mut out = Vec::with_capacity(n.saturating_sub(1));
     for (t, term) in path.terms.iter().enumerate() {
         let Some(c) = term.consumer else { continue };
         let shared = common[t][c];
         let kept = term.out_inds.minus(shared);
-        // Order by position in the producer's loop order; indices of the
-        // buffer not iterated by the producer cannot occur (buffer inds ⊆
-        // producer inds), so every kept index has a position.
-        let order = &ancestors[t];
+        let hot = match &trips {
+            Some(tr) if tr[c] > tr[t] * (1.0 + 1e-9) => c,
+            _ => t,
+        };
+        // Both sides iterate every stored index (buffer inds ⊆ producer
+        // out inds ⊆ consumer operand inds), so each has a position.
+        let order = &ancestors[hot];
         let mut inds: Vec<IndexId> = kept.to_vec();
         inds.sort_by_key(|i| order.iter().position(|x| x == i).unwrap_or(usize::MAX));
         let dims = inds.iter().map(|&i| kernel.dim(i)).collect();
@@ -166,7 +185,7 @@ mod tests {
             orders: vec![vec![0, 1, 2, 4], vec![4, 0, 1, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         assert_eq!(bufs.len(), 1);
         assert_eq!(bufs[0].ndim(), 3);
         assert_eq!(bufs[0].size(), 10 * 11 * 5);
@@ -181,7 +200,7 @@ mod tests {
             orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         assert_eq!(bufs[0].inds, vec![4]); // s
         assert_eq!(bufs[0].dims, vec![5]);
         assert_eq!(max_buffer_dim(&bufs), 1);
@@ -194,7 +213,7 @@ mod tests {
             orders: vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         assert_eq!(bufs[0].ndim(), 0);
         assert_eq!(bufs[0].size(), 1);
         assert_eq!(total_buffer_size(&bufs), 1);
@@ -227,7 +246,7 @@ mod tests {
             ],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         assert_eq!(bufs.len(), 2);
         // X consumed by term 1 under shared (i,j,k): keeps {t}.
         assert_eq!(bufs[0].dims, vec![5]);
@@ -244,12 +263,66 @@ mod tests {
             orders: vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         let one = total_buffer_size(&bufs);
         assert_eq!(tiled_workspace_footprint(&bufs, 1), one);
         assert_eq!(tiled_workspace_footprint(&bufs, 4), 4 * one);
         // Zero workers is clamped to one (the serial path).
         assert_eq!(tiled_workspace_footprint(&bufs, 0), one);
+    }
+
+    /// Uniform profile of the MTTKRP benchmark tensor (512×96×96,
+    /// 250k nonzeros) in the given CSF level dims.
+    fn bench_profile(level_dims: &[usize]) -> SparsityProfile {
+        SparsityProfile::uniform(level_dims, &[0, 1, 2], 250_000).unwrap()
+    }
+
+    #[test]
+    fn als_mode2_buffer_follows_hotter_consumer() {
+        // ids: i=0 j=1 k=2 a=3. Path A·B → X0(i,j,a); T·X0 → C(k,a).
+        let k = parse_kernel(
+            "C(k,a) = T(i,j,k) * A(i,a) * B(j,a)",
+            &[("i", 512), ("j", 96), ("k", 96), ("a", 32)],
+        )
+        .unwrap();
+        let p = path_from_picks(&k, &[(1, 2), (0, 1)]);
+        let spec = NestSpec {
+            orders: vec![vec![0, 3, 1], vec![0, 1, 2, 3]],
+        };
+        let f = build_forest(&k, &p, &spec).unwrap();
+        // Without a profile: producer order (a,j).
+        assert_eq!(buffers_for_forest(&k, &p, &f, None)[0].inds, vec![3, 1]);
+        // The consumer runs once per nonzero, the producer once per
+        // (i,a,j): store (j,a) so the consumer's innermost `a` is
+        // contiguous.
+        let prof = bench_profile(&[512, 96, 96]);
+        let trips = f.leaf_trips(&k, &prof, 2);
+        assert!(trips[1] > trips[0], "{trips:?}");
+        let bufs = buffers_for_forest(&k, &p, &f, Some(&prof));
+        assert_eq!(bufs[0].inds, vec![1, 3]);
+        assert_eq!(bufs[0].dims, vec![96, 32]);
+        assert_eq!(bufs[0].rank_hint(), Some(32));
+    }
+
+    #[test]
+    fn oneshot_krp_buffer_follows_hotter_consumer() {
+        // CSF order (j,k,i); ids: j=0 k=1 i=2 a=3. Path B·C → X0(j,k,a)
+        // under (j,a,k); T·X0 → A(i,a) under (j,k,i,a).
+        let k = parse_kernel(
+            "A(i,a) = T(j,k,i) * B(j,a) * C(k,a)",
+            &[("i", 512), ("j", 96), ("k", 96), ("a", 32)],
+        )
+        .unwrap();
+        let p = path_from_picks(&k, &[(1, 2), (0, 1)]);
+        let spec = NestSpec {
+            orders: vec![vec![0, 3, 1], vec![0, 1, 2, 3]],
+        };
+        let f = build_forest(&k, &p, &spec).unwrap();
+        assert_eq!(buffers_for_forest(&k, &p, &f, None)[0].inds, vec![3, 1]);
+        let prof = bench_profile(&[96, 96, 512]);
+        let bufs = buffers_for_forest(&k, &p, &f, Some(&prof));
+        assert_eq!(bufs[0].inds, vec![1, 3]); // (k, a)
+        assert_eq!(bufs[0].rank_hint(), Some(32));
     }
 
     #[test]
@@ -261,8 +334,16 @@ mod tests {
             orders: vec![vec![0, 1, 2, 4], vec![4, 0, 1, 3]],
         };
         let f = build_forest(&k, &p, &spec).unwrap();
-        let bufs = buffers_for_forest(&k, &p, &f);
+        let bufs = buffers_for_forest(&k, &p, &f, None);
         // Producer order (i,j,k,s): kept {i,j,s} ordered i,j,s.
         assert_eq!(bufs[0].inds, vec![0, 1, 4]);
+        // With a profile the hotter side decides: the consumer runs
+        // S·R = 20 times per (i,j) fiber (~86 fibers), the producer
+        // S = 5 times per nonzero (200), so the consumer's (s,i,j) wins.
+        let prof = SparsityProfile::uniform(&[10, 11, 12], &[0, 1, 2], 200).unwrap();
+        let trips = f.leaf_trips(&k, &prof, 2);
+        assert!(trips[1] > trips[0], "{trips:?}");
+        let bufs = buffers_for_forest(&k, &p, &f, Some(&prof));
+        assert_eq!(bufs[0].inds, vec![4, 0, 1]);
     }
 }

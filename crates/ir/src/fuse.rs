@@ -19,6 +19,7 @@ use crate::index::{IdxSet, IndexId};
 use crate::kernel::Kernel;
 use crate::order::{order_is_valid, NestSpec};
 use crate::path::ContractionPath;
+use spttn_tensor::SparsityProfile;
 
 /// How a loop vertex iterates its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,6 +31,22 @@ pub enum VertexKind {
     },
     /// Iterate the full dimension `0..dim`.
     Dense,
+}
+
+impl VertexKind {
+    /// Modeled iterations of a loop of this kind over `index` per entry,
+    /// under `profile`: the full dimension for dense loops, the mean CSF
+    /// branching factor `nnz(ℓ+1) / nnz(ℓ)` for sparse loops at level ℓ.
+    pub fn trips(self, kernel: &Kernel, index: IndexId, profile: &SparsityProfile) -> f64 {
+        match self {
+            VertexKind::Dense => kernel.dim(index) as f64,
+            VertexKind::Sparse { level } => {
+                let up = profile.prefix_nnz(level + 1) as f64;
+                let down = profile.prefix_nnz(level).max(1) as f64;
+                up / down
+            }
+        }
+    }
 }
 
 /// Errors when building or validating a fused forest.
@@ -241,6 +258,38 @@ impl LoopForest {
         let mut trail = Vec::new();
         for r in &self.roots {
             walk(r, &mut trail, &mut out);
+        }
+        out
+    }
+
+    /// Modeled executions of each term's leaf under `profile`: the
+    /// product of its enclosing loops' [`VertexKind::trips`].
+    pub fn leaf_trips(
+        &self,
+        kernel: &Kernel,
+        profile: &SparsityProfile,
+        nterms: usize,
+    ) -> Vec<f64> {
+        fn walk(
+            n: &LoopNode,
+            trips: f64,
+            kernel: &Kernel,
+            profile: &SparsityProfile,
+            out: &mut Vec<f64>,
+        ) {
+            match n {
+                LoopNode::Leaf(t) => out[*t] = trips,
+                LoopNode::Loop(v) => {
+                    let inner = trips * v.kind.trips(kernel, v.index, profile);
+                    for c in &v.children {
+                        walk(c, inner, kernel, profile, out);
+                    }
+                }
+            }
+        }
+        let mut out = vec![0.0; nterms];
+        for r in &self.roots {
+            walk(r, 1.0, kernel, profile, &mut out);
         }
         out
     }

@@ -25,6 +25,34 @@ fn row_major_strides(dims: &[usize]) -> Vec<usize> {
     strides
 }
 
+/// Largest elementwise `|a − b|` of two value slices — the one result
+/// comparison shared by the CLI's `--check` and the test suites.
+///
+/// NaN/inf-aware: equal values, matching infinities included, differ
+/// by 0; any NaN, a one-sided infinity, or opposite infinities make the
+/// result `+∞`, so a poisoned result can never pass a `≤ tol` check.
+/// Slices of different lengths also compare as `+∞`.
+pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    if a.len() != b.len() {
+        return f64::INFINITY;
+    }
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            if x == y {
+                0.0
+            } else {
+                let d = (x - y).abs();
+                if d.is_nan() {
+                    f64::INFINITY
+                } else {
+                    d
+                }
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
 impl DenseTensor {
     /// Create a zero-filled tensor with the given dimensions.
     ///
@@ -172,14 +200,11 @@ impl DenseTensor {
     }
 
     /// Maximum absolute elementwise difference with another tensor of the
-    /// same shape. Panics if shapes differ.
+    /// same shape, NaN/inf-aware (see the free [`max_abs_diff`]). Panics
+    /// if shapes differ.
     pub fn max_abs_diff(&self, other: &DenseTensor) -> f64 {
         assert_eq!(self.dims, other.dims, "shape mismatch in max_abs_diff");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+        max_abs_diff(&self.data, &other.data)
     }
 
     /// True when all elements differ from `other` by at most `tol`,
@@ -278,6 +303,25 @@ mod tests {
         let mut b = DenseTensor::zeros(&[3]);
         b.set(&[1], -4.0);
         assert_eq!(a.max_abs_diff(&b), 4.0);
+    }
+
+    #[test]
+    fn max_abs_diff_flags_nan_and_inf_disagreement() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        // Matching infinities are equal; finite entries still count.
+        assert_eq!(max_abs_diff(&[inf, -inf, 1.0], &[inf, -inf, 1.5]), 0.5);
+        // Any NaN — one-sided or on both sides — is a mismatch.
+        assert_eq!(max_abs_diff(&[1.0, nan], &[1.0, 2.0]), inf);
+        assert_eq!(max_abs_diff(&[nan], &[nan]), inf);
+        // One-sided and opposite infinities are mismatches.
+        assert_eq!(max_abs_diff(&[inf], &[1.0]), inf);
+        assert_eq!(max_abs_diff(&[inf], &[-inf]), inf);
+        // Length mismatch never passes.
+        assert_eq!(max_abs_diff(&[1.0], &[1.0, 1.0]), inf);
+        // A NaN-poisoned tensor fails a tolerance check.
+        let want = DenseTensor::from_data(&[2], vec![1.0, 2.0]).unwrap();
+        let got = DenseTensor::from_data(&[2], vec![1.0, nan]).unwrap();
+        assert!(got.max_abs_diff(&want) > 1e-9);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod profile;
 
 pub use coo::CooTensor;
 pub use csf::{Csf, CsfEntries, CsfLevel, CsfTile};
-pub use dense::DenseTensor;
+pub use dense::{max_abs_diff, DenseTensor};
 pub use gen::{frostt_like, random_coo, random_dense, random_vec, skewed_coo, FrosttPreset};
 pub use io::{load_coo, read_mtx, read_tns, IoError};
 pub use profile::SparsityProfile;

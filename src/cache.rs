@@ -15,10 +15,8 @@
 //! mode-order policy and — for pattern-backed sparsity, where the
 //! search scores orders on exact per-order fiber counts — a fingerprint
 //! of the coordinates themselves, since two patterns with identical
-//! natural-order profiles can crown different orders. The one lossy
-//! field is `tier_slack: f64` on [`PlanOptions`], which is quantized to
-//! parts per million so the key stays `Eq + Hash` without comparing raw
-//! floats.
+//! natural-order profiles can crown different orders. Every field is
+//! integral or structural, so the key is `Eq + Hash` exactly.
 //!
 //! Lookups are **single-flight**: when several threads miss on the same
 //! key at once, exactly one runs the planner while the rest block on
@@ -94,9 +92,6 @@ pub struct PlanKey {
     /// Search limits.
     max_paths_per_tier: usize,
     max_tiers: usize,
-    /// `tier_slack` quantized to parts per million (after the planner's
-    /// own clamp to ≥ 1.0), keeping the raw `f64` out of the key.
-    tier_slack_ppm: u64,
     /// `=` vs `+=` execution semantics.
     accumulate: bool,
 }
@@ -134,7 +129,6 @@ impl PlanKey {
             mode_order: opts.mode_order.clone(),
             max_paths_per_tier: opts.max_paths_per_tier,
             max_tiers: opts.max_tiers,
-            tier_slack_ppm: (opts.tier_slack.max(1.0) * 1e6).round() as u64,
             accumulate,
         }
     }

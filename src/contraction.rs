@@ -244,12 +244,11 @@ pub struct PlanOptions {
     /// still takes a CSF stored in the *written* order and rebuilds it
     /// when the plan's order differs — see [`Plan::mode_order`].
     pub mode_order: ModeOrderPolicy,
-    /// Maximum contraction paths the DP runs on per cost tier.
+    /// Maximum contraction paths the DP runs on per cost tier (a tier
+    /// is the set of paths with exactly equal op count).
     pub max_paths_per_tier: usize,
-    /// Maximum asymptotic-cost tiers to explore before giving up.
+    /// Maximum op-count tiers the planner scans before giving up.
     pub max_tiers: usize,
-    /// Paths within this factor of the tier leader share the tier.
-    pub tier_slack: f64,
     /// Execution-stage options the plan carries into [`Plan::bind`].
     /// Not part of [`crate::PlanKey`]: the symbolic plan is identical
     /// for every thread count.
@@ -265,7 +264,6 @@ impl Default for PlanOptions {
             mode_order: ModeOrderPolicy::Natural,
             max_paths_per_tier: 64,
             max_tiers: 16,
-            tier_slack: 1.0,
             exec: ExecOptions::default(),
         }
     }
@@ -343,7 +341,7 @@ impl PlanOptions {
     /// [`ModeOrderPolicy::Auto`] runs the Sec. 5 planner once per
     /// candidate order (every permutation up to 4 sparse modes, a
     /// pruned family above) and keeps the cheapest by
-    /// `(op count, cost value)` — exact per-order fiber counts when the
+    /// `(modeled work, cost value)` — exact per-order fiber counts when the
     /// pattern is known ([`Shapes::with_pattern`] or the one-shot
     /// [`Contraction::compile`] path), the uniform model with
     /// [`Shapes::with_nnz`]. A lone [`Shapes::with_profile`] cannot
@@ -363,7 +361,6 @@ impl PlanOptions {
         spttn_cost::PlanOptions {
             max_paths_per_tier: self.max_paths_per_tier,
             max_tiers: self.max_tiers,
-            tier_slack: self.tier_slack,
         }
     }
 }
@@ -943,6 +940,8 @@ struct Planned {
     path: ContractionPath,
     spec: NestSpec,
     flops: u128,
+    traversal: u128,
+    work: u128,
     tier: usize,
     cost: String,
 }
@@ -957,6 +956,8 @@ fn erase<V: std::fmt::Debug>(s: OrderSearch<V>) -> Planned {
         path: s.planned.path,
         spec: s.planned.spec,
         flops: s.planned.flops,
+        traversal: s.planned.traversal,
+        work: s.planned.work,
         tier: s.planned.tier,
     }
 }
@@ -1037,7 +1038,15 @@ pub struct Plan {
     pub(crate) order_costs: Vec<OrderCost>,
     /// Leading-order scalar-operation count of the chosen path.
     pub flops: u128,
-    /// Asymptotic-cost tier the path came from (0 = optimal).
+    /// Modeled sparse node visits plus buffer zeroing volume of the
+    /// chosen nest, in multiply-add units ([`spttn_cost::Traversal`]).
+    pub traversal: u128,
+    /// Modeled work `flops + 2·traversal`: what the planner minimizes.
+    /// A nest may win with more flops than another when it walks the
+    /// sparse tensor fewer times.
+    pub work: u128,
+    /// Op-count tier the path came from: the rank of its exact op count
+    /// among all contraction paths (0 = the fewest flops).
     pub tier: usize,
     /// Debug rendering of the chosen nest's cost value.
     pub cost: String,
@@ -1053,7 +1062,12 @@ impl Plan {
     ) -> Result<Plan> {
         let planned = run_planner(&kernel, &source, opts)?;
         let forest = build_forest(&planned.kernel, &planned.path, &planned.spec)?;
-        let buffers = buffers_for_forest(&planned.kernel, &planned.path, &forest);
+        let buffers = buffers_for_forest(
+            &planned.kernel,
+            &planned.path,
+            &forest,
+            Some(&planned.profile),
+        );
         Ok(Plan {
             kernel: planned.kernel,
             path: planned.path,
@@ -1066,6 +1080,8 @@ impl Plan {
             mode_order: planned.order,
             order_costs: planned.order_costs,
             flops: planned.flops,
+            traversal: planned.traversal,
+            work: planned.work,
             tier: planned.tier,
             cost: planned.cost,
         })
@@ -1157,9 +1173,9 @@ impl Plan {
 
     /// Per-candidate-order planning record: the orders the search
     /// explored (natural/fixed policies record exactly one), each with
-    /// the best nest's op count (`None` when infeasible for that order)
-    /// and cost rendering. The chosen order is the `(flops, cost)`
-    /// minimum.
+    /// the best nest's op count, traversal and work (`None` when
+    /// infeasible for that order) and cost rendering. The chosen order
+    /// is the `(work, cost)` minimum.
     pub fn order_costs(&self) -> &[OrderCost] {
         &self.order_costs
     }
@@ -1190,8 +1206,8 @@ impl Plan {
         s.push_str(&format!("path:   {}\n", self.path.describe(&self.kernel)));
         s.push_str(&format!("orders: {}\n", self.spec.describe(&self.kernel)));
         s.push_str(&format!(
-            "cost:   {} (tier {}, ~{} flops)\n",
-            self.cost, self.tier, self.flops
+            "cost:   {} (tier {}, ~{} flops, ~{} traversal, ~{} work)\n",
+            self.cost, self.tier, self.flops, self.traversal, self.work
         ));
         for b in &self.buffers {
             let names: Vec<&str> = b.inds.iter().map(|&i| self.kernel.index_name(i)).collect();

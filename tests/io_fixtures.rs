@@ -4,7 +4,7 @@
 //! feeds to `spttn run`).
 
 use rand::prelude::*;
-use spttn::tensor::{load_coo, random_dense, Csf, DenseTensor};
+use spttn::tensor::{load_coo, max_abs_diff, random_dense, Csf, DenseTensor};
 use spttn::{Contraction, ContractionOutput, ModeOrderPolicy, PlanOptions, Shapes, Threads};
 use spttn_exec::naive_einsum;
 
@@ -67,12 +67,7 @@ fn tns_fixture_runs_mttkrp_end_to_end() {
         let sparse_dense = coo.to_dense();
         let slots: Vec<&DenseTensor> = vec![&sparse_dense, &b, &c];
         let want = naive_einsum(&kernel, &slots).unwrap();
-        let diff = got
-            .as_slice()
-            .iter()
-            .zip(want.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let diff = max_abs_diff(got.as_slice(), want.as_slice());
         assert!(diff <= 1e-9, "threads {threads}: diff {diff}");
     }
 }

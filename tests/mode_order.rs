@@ -5,7 +5,9 @@
 
 use rand::prelude::*;
 use spttn::exec::naive_einsum;
-use spttn::tensor::{random_coo, random_dense, skewed_coo, CooTensor, Csf, DenseTensor};
+use spttn::tensor::{
+    max_abs_diff, random_coo, random_dense, skewed_coo, CooTensor, Csf, DenseTensor,
+};
 use spttn::{
     Contraction, ContractionOutput, CostModel, ModeOrderPolicy, Plan, PlanCache, PlanOptions,
     Shapes, Threads,
@@ -56,11 +58,7 @@ fn max_diff(got: &ContractionOutput, want: &DenseTensor) -> f64 {
         ContractionOutput::Dense(d) => d.clone(),
         ContractionOutput::Sparse(c) => c.to_dense(),
     };
-    got.as_slice()
-        .iter()
-        .zip(want.as_slice())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max)
+    max_abs_diff(got.as_slice(), want.as_slice())
 }
 
 #[test]
