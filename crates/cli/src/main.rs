@@ -3,8 +3,8 @@
 //! Runs the whole stack on real data: parse an einsum-style contraction,
 //! ingest a FROSTT `.tns` or MatrixMarket `.mtx` sparse tensor, plan
 //! under a selectable cost model and CSF mode-order policy, bind with
-//! seeded random dense factors, execute (serially or on the tiled
-//! parallel engine), and report plan and execution statistics — with an
+//! seeded random dense factors, execute the compiled tape (serially or
+//! on the tiled parallel executor), and report plan and execution statistics — with an
 //! optional naive-oracle check.
 //!
 //! ```text
@@ -25,13 +25,15 @@ use spttn::exec::naive_einsum;
 use spttn::ir::Kernel;
 use spttn::tensor::{load_coo, max_abs_diff, random_dense, read_tns, CooTensor, Csf, DenseTensor};
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Engine, Microkernels, ModeOrderPolicy, Plan,
-    PlanOptions, RunBudget, Shapes, SpttnError, Threads,
+    Contraction, ContractionOutput, CostModel, Microkernels, ModeOrderPolicy, Plan, PlanOptions,
+    RunBudget, Shapes, SpttnError, Threads,
 };
 use spttn_net::{NetOptions, Network, OrderStrategy};
 use std::time::{Duration, Instant};
 
 const CHECK_TOL: f64 = 1e-9;
+/// Largest dense index space `--check` hands to the naive oracle.
+const ORACLE_MAX_POINTS: u64 = 1 << 32;
 
 fn usage() -> ! {
     eprintln!(
@@ -65,8 +67,6 @@ OPTIONS:
                           (budgeted exact subset sweep; 'spttn net' only) [greedy]
     --budget N            pair-cost evaluation budget for --order optimal
                           [1000000]
-    --engine E            tape (bind-time compiled instruction tape) |
-                          interp (recursive oracle interpreter)  [tape]
     --microkernels M      auto (explicit-SIMD kernels by CPU detection, fused
                           superinstructions) | scalar (plain scalar kernels,
                           bitwise-stable baseline)  [auto]
@@ -119,7 +119,6 @@ struct Args {
     threads: Threads,
     order: OrderStrategy,
     budget: u64,
-    engine: Engine,
     microkernels: Microkernels,
     cost_model: CostModel,
     mode_order: ModeOrderPolicy,
@@ -195,14 +194,6 @@ fn parse_cost_model(s: &str) -> CostModel {
     }
 }
 
-fn parse_engine(s: &str) -> Engine {
-    match s {
-        "tape" => Engine::Tape,
-        "interp" => Engine::Interp,
-        other => fail(format!("unknown engine '{other}' (tape, interp)")),
-    }
-}
-
 fn parse_microkernels(s: &str) -> Microkernels {
     match s {
         "auto" => Microkernels::Auto,
@@ -267,7 +258,6 @@ fn parse_args() -> Args {
         threads: Threads::N(1),
         order: OrderStrategy::Greedy,
         budget: 1_000_000,
-        engine: Engine::Tape,
         microkernels: Microkernels::Auto,
         cost_model: CostModel::BlasAware {
             buffer_dim_bound: 2,
@@ -338,7 +328,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| fail("bad --budget value"))
             }
-            "--engine" => args.engine = parse_engine(&value(&mut argv, "--engine")),
             "--microkernels" => {
                 args.microkernels = parse_microkernels(&value(&mut argv, "--microkernels"))
             }
@@ -498,6 +487,22 @@ fn check_against_oracle(
     factors: &[(String, DenseTensor)],
     got: &ContractionOutput,
 ) -> f64 {
+    // The oracle densifies the sparse tensor and sweeps every index
+    // point: refuse an input too large for that up front, rather than
+    // abort on the allocation.
+    let points = |dims: &[usize]| {
+        dims.iter()
+            .try_fold(1u64, |acc, &d| acc.checked_mul(u64::try_from(d).ok()?))
+    };
+    let index_dims: Vec<usize> = (0..kernel.num_indices()).map(|i| kernel.dim(i)).collect();
+    match points(&index_dims).zip(points(coo.dims())) {
+        Some((space, sparse)) if space.max(sparse) <= ORACLE_MAX_POINTS => {}
+        Some((space, sparse)) => fail(format!(
+            "check: the naive oracle needs {} dense points, over its limit of 2^32",
+            space.max(sparse)
+        )),
+        None => fail("check: the naive oracle's index space overflows 64 bits (limit 2^32 points)"),
+    }
     let sparse_dense = coo.to_dense();
     let mut slots: Vec<&DenseTensor> = Vec::new();
     let mut next = 0usize;
@@ -588,7 +593,6 @@ fn run_net(args: &Args) {
         PlanOptions::with_cost_model(args.cost_model)
             .with_mode_order(args.mode_order.clone())
             .with_threads(args.threads)
-            .with_engine(args.engine)
             .with_microkernels(args.microkernels)
             .with_verify(args.verify),
         args,
@@ -696,7 +700,6 @@ fn main() {
         PlanOptions::with_cost_model(args.cost_model)
             .with_mode_order(args.mode_order.clone())
             .with_threads(args.threads)
-            .with_engine(args.engine)
             .with_microkernels(args.microkernels)
             .with_verify(args.verify),
         &args,
@@ -736,25 +739,18 @@ fn main() {
     let mut exec = plan
         .bind(csf, &named)
         .unwrap_or_else(|e| fail_stage("bind", e));
+    let t = exec.tape();
     println!(
-        "bind: {} thread(s), {} engine{}{} ({:.1} ms)",
+        "bind: {} thread(s), tape ({} instrs, {} cursors, {} fingers; \
+         {} kernels ×{}, {} fused, {} specialized){} ({:.1} ms)",
         exec.threads(),
-        match exec.engine() {
-            Engine::Tape => "tape",
-            Engine::Interp => "interp",
-        },
-        exec.tape().map_or(String::new(), |t| {
-            format!(
-                " ({} instrs, {} cursors, {} fingers; {} kernels ×{}, {} fused, {} specialized)",
-                t.num_instrs(),
-                t.num_cursors(),
-                t.num_fingers(),
-                t.microkernels(),
-                t.kernel_width(),
-                t.superinstructions(),
-                t.specialized()
-            )
-        }),
+        t.num_instrs(),
+        t.num_cursors(),
+        t.num_fingers(),
+        t.microkernels(),
+        t.kernel_width(),
+        t.superinstructions(),
+        t.specialized(),
         if plan.is_natural_order() {
             String::new()
         } else {
@@ -793,13 +789,8 @@ fn main() {
         stats.elems()
     );
     println!(
-        "search: {} node re-resolutions, {} probes ({})",
-        stats.node_searches,
-        stats.search_probes,
-        match exec.engine() {
-            Engine::Tape => "galloping finger search",
-            Engine::Interp => "binary search depth",
-        }
+        "search: {} node re-resolutions, {} probes (galloping finger search)",
+        stats.node_searches, stats.search_probes
     );
 
     if args.check {

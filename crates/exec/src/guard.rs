@@ -6,9 +6,8 @@
 //! caller can flip from any thread, and a [`RunGuard`] built once per
 //! execution that bundles the token with an optional deadline. The
 //! drivers consult the guard at their natural iteration boundaries —
-//! the compiled tape at root-frame advances, the interpreter at
-//! root-loop iterations, the network executor between contraction
-//! steps — so cancellation latency is bounded by one root subtree, not
+//! the compiled tape at root-frame advances, the network executor
+//! between contraction steps — so cancellation latency is bounded by one root subtree, not
 //! one whole execution.
 //!
 //! A fired guard surfaces as [`SpttnError::Cancelled`] and the
@@ -174,11 +173,8 @@ mod tests {
     fn zero_timeout_expires_immediately() {
         let g = RunGuard::new(None, Some(Duration::ZERO));
         assert!(matches!(
-            g.check("interp"),
-            Err(SpttnError::Cancelled {
-                phase: "interp",
-                ..
-            })
+            g.check("tape"),
+            Err(SpttnError::Cancelled { phase: "tape", .. })
         ));
     }
 

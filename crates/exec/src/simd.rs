@@ -14,8 +14,9 @@
 //! |---------------|---------------------------------------------------|
 //! | `Scalar`      | always available — exactly [`crate::blas`]        |
 //! | `Avx2Fma`     | x86_64 with AVX2+FMA detected at runtime          |
-//! | `Neon`        | aarch64 (NEON is baseline for the target)         |
-//! | `Portable`    | `portable-simd` cargo feature (nightly `std::simd`) |
+//! | `Avx512`      | x86_64 with AVX-512F (plus AVX2+FMA) detected     |
+//!
+//! Every other host (aarch64 included) runs the scalar set.
 //!
 //! Selection is *host state*, not *program shape*: two hosts binding
 //! the same plan with the same [`Microkernels`] option compile tapes
@@ -46,8 +47,7 @@
 //!
 //! The `SPTTN_MICROKERNELS` environment variable overrides the
 //! programmatic option at bind time: `scalar` forces the scalar path,
-//! `portable` prefers `std::simd` when compiled in, anything else (or
-//! unset) behaves as `auto`.
+//! anything else (or unset) behaves as `auto`.
 
 use crate::blas;
 
@@ -79,13 +79,6 @@ pub enum KernelSel {
     /// Requires AVX2+FMA as well (for those fallback kernels).
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// NEON `std::arch` intrinsics (2 × f64 lanes).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
-    /// Portable `std::simd` (4 × f64 lanes), nightly-gated behind the
-    /// `portable-simd` cargo feature.
-    #[cfg(feature = "portable-simd")]
-    Portable,
 }
 
 /// Bind-time rank specialization recorded on a tape instruction.
@@ -169,11 +162,7 @@ impl KernelSet {
         if opt == Microkernels::Scalar || env.is_some_and(|v| v.eq_ignore_ascii_case("scalar")) {
             return KernelSet::scalar();
         }
-        let prefer_portable = env.is_some_and(|v| v.eq_ignore_ascii_case("portable"));
-        KernelSet {
-            sel: detect(prefer_portable),
-            fuse: true,
-        }
+        KernelSet::auto_detected()
     }
 
     /// The always-available scalar set: [`crate::blas`] pointers, no
@@ -192,7 +181,7 @@ impl KernelSet {
     /// forcing the rest of the suite scalar.
     pub fn auto_detected() -> KernelSet {
         KernelSet {
-            sel: detect(false),
+            sel: detect(),
             fuse: true,
         }
     }
@@ -216,10 +205,6 @@ impl KernelSet {
             KernelSel::Avx2Fma => "avx2+fma",
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx512 => "avx512f",
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => "neon",
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => "portable",
         }
     }
 
@@ -233,10 +218,6 @@ impl KernelSet {
             KernelSel::Avx2Fma => 4,
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx512 => 8,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => 2,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => 4,
         }
     }
 
@@ -265,10 +246,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R16) => x86_512::axpy_fixed::<16>,
             #[cfg(target_arch = "x86_64")]
             (KernelSel::Avx512, RankSpec::R32) => x86_512::axpy_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::axpy,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::axpy,
         };
         (kern, spec)
     }
@@ -298,10 +275,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R16) => x86_512::zaxpy_fixed::<16>,
             #[cfg(target_arch = "x86_64")]
             (KernelSel::Avx512, RankSpec::R32) => x86_512::zaxpy_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::zaxpy,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::zaxpy,
         };
         (kern, spec)
     }
@@ -320,10 +293,6 @@ impl KernelSet {
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R16) => x86::dot_fixed::<16>,
             #[cfg(target_arch = "x86_64")]
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::dot_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::dot,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::dot,
         };
         (kern, spec)
     }
@@ -337,10 +306,6 @@ impl KernelSet {
             KernelSel::Avx2Fma => x86::xmul,
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx512 => x86_512::xmul,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::xmul,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::xmul,
         }
     }
 
@@ -352,10 +317,6 @@ impl KernelSet {
             KernelSel::Avx2Fma => x86::zxmul,
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx512 => x86_512::zxmul,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::zxmul,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::zxmul,
         }
     }
 
@@ -384,10 +345,6 @@ impl KernelSet {
             (KernelSel::Avx512, RankSpec::R16) => x86_512::ger_fixed::<16>,
             #[cfg(target_arch = "x86_64")]
             (KernelSel::Avx512, RankSpec::R32) => x86_512::ger_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::ger,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::ger,
         };
         (kern, spec)
     }
@@ -400,10 +357,6 @@ impl KernelSet {
             KernelSel::Avx2Fma => x86::zger,
             #[cfg(target_arch = "x86_64")]
             KernelSel::Avx512 => x86_512::zger,
-            #[cfg(target_arch = "aarch64")]
-            KernelSel::Neon => neon::zger,
-            #[cfg(feature = "portable-simd")]
-            KernelSel::Portable => portable::zger,
         }
     }
 
@@ -422,10 +375,6 @@ impl KernelSet {
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R16) => x86::gemv_fixed::<16>,
             #[cfg(target_arch = "x86_64")]
             (KernelSel::Avx2Fma | KernelSel::Avx512, RankSpec::R32) => x86::gemv_fixed::<32>,
-            #[cfg(target_arch = "aarch64")]
-            (KernelSel::Neon, _) => neon::gemv,
-            #[cfg(feature = "portable-simd")]
-            (KernelSel::Portable, _) => portable::gemv,
         };
         (kern, spec)
     }
@@ -439,42 +388,19 @@ impl KernelSet {
     }
 }
 
-/// Pick the best implementation the host supports. Under Miri the
-/// vendor intrinsics are unsupported, so everything falls back to
-/// scalar (program shape — fusion, specialization — is unaffected).
-fn detect(prefer_portable: bool) -> KernelSel {
-    #[cfg(miri)]
-    {
-        let _ = prefer_portable;
-        return KernelSel::Scalar;
+/// Pick the best implementation the host supports: an x86_64 SIMD tier
+/// when detected, scalar everywhere else. Under Miri the vendor
+/// intrinsics are unsupported, so everything falls back to scalar
+/// (program shape — fusion, specialization — is unaffected).
+fn detect() -> KernelSel {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return KernelSel::Avx512;
+        }
+        return KernelSel::Avx2Fma;
     }
-    #[cfg(not(miri))]
-    {
-        #[cfg(feature = "portable-simd")]
-        if prefer_portable {
-            return KernelSel::Portable;
-        }
-        #[cfg(not(feature = "portable-simd"))]
-        let _ = prefer_portable;
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return KernelSel::Avx512;
-            }
-            return KernelSel::Avx2Fma;
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return KernelSel::Neon;
-        }
-        #[cfg(feature = "portable-simd")]
-        {
-            return KernelSel::Portable;
-        }
-        #[allow(unreachable_code)]
-        KernelSel::Scalar
-    }
+    KernelSel::Scalar
 }
 
 /// Comma-separated CPU features relevant to kernel selection that the
@@ -497,11 +423,7 @@ pub fn detected_cpu_features() -> String {
         }
         feats.join(",")
     }
-    #[cfg(all(target_arch = "aarch64", not(miri)))]
-    {
-        "neon".to_string()
-    }
-    #[cfg(any(miri, not(any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    #[cfg(any(miri, not(target_arch = "x86_64")))]
     {
         String::new()
     }
@@ -1687,512 +1609,6 @@ mod x86_512 {
         // SAFETY: reachable only via a `KernelSet` that detected
         // AVX-512F at bind time (see `axpy` above).
         unsafe { ger_rows_fixed_body::<N>(m, alpha, x, incx, a, rs, y) }
-    }
-}
-
-/// NEON kernels (aarch64, 2 × f64 lanes). NEON is baseline for the
-/// aarch64 targets we build, so no runtime detection is needed; the
-/// bodies still follow the same slice-checked + single-unsafe-block
-/// discipline as the x86 module.
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::blas;
-    use core::arch::aarch64::{
-        vaddq_f64, vdupq_n_f64, vfmaq_f64, vgetq_lane_f64, vld1q_f64, vmulq_f64, vst1q_f64,
-    };
-
-    /// `y[..len] += alpha * x[..len]`, 2 lanes.
-    #[target_feature(enable = "neon")]
-    fn axpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: vector steps gated by `i + 2 <= n`, tail by `i < n`;
-        // all inside the length-checked slices.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let yv = vfmaq_f64(vld1q_f64(yp.add(i)), a, vld1q_f64(xp.add(i)));
-                vst1q_f64(yp.add(i), yv);
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len]` (assigning twin).
-    #[target_feature(enable = "neon")]
-    fn zaxpy_body(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `axpy_body`.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                vst1q_f64(yp.add(i), vmulq_f64(a, vld1q_f64(xp.add(i))));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// Lane-striped dot with fixed tree `(acc0 + acc1) → lane0 + lane1`
-    /// and a sequential scalar tail (run-to-run bitwise stable).
-    #[target_feature(enable = "neon")]
-    fn dot_body(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        debug_assert_eq!(n, y.len());
-        let (xp, yp) = (x.as_ptr(), y.as_ptr());
-        // SAFETY: vector loads gated by `i + 4 <= n` / `i + 2 <= n`,
-        // tail by `i < n`; all inside the length-checked slices.
-        unsafe {
-            let mut acc0 = vdupq_n_f64(0.0);
-            let mut acc1 = vdupq_n_f64(0.0);
-            let mut i = 0;
-            while i + 4 <= n {
-                acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-                acc1 = vfmaq_f64(acc1, vld1q_f64(xp.add(i + 2)), vld1q_f64(yp.add(i + 2)));
-                i += 4;
-            }
-            if i + 2 <= n {
-                acc0 = vfmaq_f64(acc0, vld1q_f64(xp.add(i)), vld1q_f64(yp.add(i)));
-                i += 2;
-            }
-            let s = vaddq_f64(acc0, acc1);
-            let mut acc = vgetq_lane_f64::<0>(s) + vgetq_lane_f64::<1>(s);
-            while i < n {
-                acc += *xp.add(i) * *yp.add(i);
-                i += 1;
-            }
-            acc
-        }
-    }
-
-    /// `y[..len] += alpha * x[..len] ∘ z[..len]`.
-    #[target_feature(enable = "neon")]
-    fn xmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `axpy_body`, three slices.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let t = vmulq_f64(vld1q_f64(xp.add(i)), vld1q_f64(zp.add(i)));
-                vst1q_f64(yp.add(i), vfmaq_f64(vld1q_f64(yp.add(i)), a, t));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) += alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// `y[..len] = alpha * x[..len] ∘ z[..len]` (assigning twin).
-    #[target_feature(enable = "neon")]
-    fn zxmul_body(alpha: f64, x: &[f64], z: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        debug_assert!(n == z.len() && n == y.len());
-        let (xp, zp, yp) = (x.as_ptr(), z.as_ptr(), y.as_mut_ptr());
-        // SAFETY: same bounds discipline as `xmul_body`.
-        unsafe {
-            let a = vdupq_n_f64(alpha);
-            let mut i = 0;
-            while i + 2 <= n {
-                let t = vmulq_f64(vld1q_f64(xp.add(i)), vld1q_f64(zp.add(i)));
-                vst1q_f64(yp.add(i), vmulq_f64(a, t));
-                i += 2;
-            }
-            while i < n {
-                *yp.add(i) = alpha * *xp.add(i) * *zp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    /// [`blas::axpy`]-shaped wrapper.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on every aarch64 target this
-            // crate builds for (`target_feature = "neon"` is always
-            // enabled by the ABI).
-            unsafe { axpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// Assigning AXPY wrapper.
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { zaxpy_body(alpha, &x[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// [`blas::dot`]-shaped wrapper.
-    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-        if incx == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { dot_body(&x[..n], &y[..n]) }
-        } else {
-            blas::dot(n, x, incx, y, incy)
-        }
-    }
-
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { xmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            // SAFETY: NEON is baseline on aarch64 (see `axpy` above).
-            unsafe { zxmul_body(alpha, &x[..n], &z[..n], &mut y[..n]) }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// [`blas::ger`]-shaped wrapper (row-wise vector AXPY).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            let yv = &y[..n];
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                unsafe { axpy_body(xi, yv, &mut a[i * rs..i * rs + n]) }
-            }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// Assigning GER wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            let yv = &y[..n];
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                unsafe { zaxpy_body(xi, yv, &mut a[i * rs..i * rs + n]) }
-            }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// [`blas::gemv`]-shaped wrapper (row-wise vector DOT).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if cs == 1 && incx == 1 {
-            let xv = &x[..n];
-            for i in 0..m {
-                // SAFETY: NEON is baseline on aarch64 (see `axpy`).
-                let acc = unsafe { dot_body(&a[i * rs..i * rs + n], xv) };
-                y[i * incy] += alpha * acc;
-            }
-        } else {
-            blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
-        }
-    }
-}
-
-/// Portable `std::simd` kernels (nightly-gated `portable-simd`
-/// feature): 4 × f64 lanes, entirely safe code, same fixed lane-tree
-/// reduction as the vendor-intrinsic modules.
-#[cfg(feature = "portable-simd")]
-mod portable {
-    use super::blas;
-    use std::simd::f64x4;
-
-    const LANES: usize = 4;
-
-    /// [`blas::axpy`]-shaped wrapper.
-    pub(super) fn axpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if alpha == 0.0 {
-            return; // match blas::axpy
-        }
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let yv = f64x4::from_slice(&y[i..]) + a * f64x4::from_slice(&x[i..]);
-                yv.copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] += alpha * x[i];
-                i += 1;
-            }
-        } else {
-            blas::axpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// Assigning AXPY wrapper.
-    pub(super) fn zaxpy(n: usize, alpha: f64, x: &[f64], incx: usize, y: &mut [f64], incy: usize) {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                (a * f64x4::from_slice(&x[i..])).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] = alpha * x[i];
-                i += 1;
-            }
-        } else {
-            super::scalar_zero::zaxpy(n, alpha, x, incx, y, incy);
-        }
-    }
-
-    /// [`blas::dot`]-shaped wrapper with the fixed lane-tree reduction.
-    pub(super) fn dot(n: usize, x: &[f64], incx: usize, y: &[f64], incy: usize) -> f64 {
-        if incx == 1 && incy == 1 {
-            let (x, y) = (&x[..n], &y[..n]);
-            let mut acc0 = f64x4::splat(0.0);
-            let mut acc1 = f64x4::splat(0.0);
-            let mut i = 0;
-            while i + 2 * LANES <= n {
-                acc0 += f64x4::from_slice(&x[i..]) * f64x4::from_slice(&y[i..]);
-                acc1 += f64x4::from_slice(&x[i + LANES..]) * f64x4::from_slice(&y[i + LANES..]);
-                i += 2 * LANES;
-            }
-            if i + LANES <= n {
-                acc0 += f64x4::from_slice(&x[i..]) * f64x4::from_slice(&y[i..]);
-                i += LANES;
-            }
-            // Fixed tree: (acc0 + acc1) → (lane0+lane2, lane1+lane3) →
-            // final pair, then the sequential scalar tail.
-            let s = (acc0 + acc1).to_array();
-            let mut acc = (s[0] + s[2]) + (s[1] + s[3]);
-            while i < n {
-                acc += x[i] * y[i];
-                i += 1;
-            }
-            acc
-        } else {
-            blas::dot(n, x, incx, y, incy)
-        }
-    }
-
-    /// [`blas::xmul`]-shaped wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn xmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let t = f64x4::from_slice(&x[i..]) * f64x4::from_slice(&z[i..]);
-                (f64x4::from_slice(&y[i..]) + a * t).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] += alpha * x[i] * z[i];
-                i += 1;
-            }
-        } else {
-            blas::xmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// Assigning XMUL wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zxmul(
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        z: &[f64],
-        incz: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if incx == 1 && incz == 1 && incy == 1 {
-            let (x, z, y) = (&x[..n], &z[..n], &mut y[..n]);
-            let a = f64x4::splat(alpha);
-            let mut i = 0;
-            while i + LANES <= n {
-                let t = f64x4::from_slice(&x[i..]) * f64x4::from_slice(&z[i..]);
-                (a * t).copy_to_slice(&mut y[i..i + LANES]);
-                i += LANES;
-            }
-            while i < n {
-                y[i] = alpha * x[i] * z[i];
-                i += 1;
-            }
-        } else {
-            super::scalar_zero::zxmul(n, alpha, x, incx, z, incz, y, incy);
-        }
-    }
-
-    /// [`blas::ger`]-shaped wrapper (row-wise vector AXPY).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn ger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if alpha == 0.0 {
-            return; // match blas::ger
-        }
-        if cs == 1 && incy == 1 {
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                axpy(n, xi, y, 1, &mut a[i * rs..i * rs + n], 1);
-            }
-        } else {
-            blas::ger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// Assigning GER wrapper.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn zger(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        x: &[f64],
-        incx: usize,
-        y: &[f64],
-        incy: usize,
-        a: &mut [f64],
-        rs: usize,
-        cs: usize,
-    ) {
-        if cs == 1 && incy == 1 {
-            for i in 0..m {
-                let xi = alpha * x[i * incx];
-                zaxpy(n, xi, y, 1, &mut a[i * rs..i * rs + n], 1);
-            }
-        } else {
-            super::scalar_zero::zger(m, n, alpha, x, incx, y, incy, a, rs, cs);
-        }
-    }
-
-    /// [`blas::gemv`]-shaped wrapper (row-wise vector DOT).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemv(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: &[f64],
-        rs: usize,
-        cs: usize,
-        x: &[f64],
-        incx: usize,
-        y: &mut [f64],
-        incy: usize,
-    ) {
-        if cs == 1 && incx == 1 {
-            for i in 0..m {
-                let acc = dot(n, &a[i * rs..i * rs + n], 1, x, 1);
-                y[i * incy] += alpha * acc;
-            }
-        } else {
-            blas::gemv(m, n, alpha, a, rs, cs, x, incx, y, incy);
-        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Bind-time compilation of loop forests to a flat instruction tape.
 //!
-//! The [`crate::interp`] module *interprets* a planned [`LoopForest`]:
+//! The reference interpreter ([`crate::reference::interpret`]) walks a
+//! planned [`LoopForest`] recursively:
 //! every vertex visit re-matches node variants, re-probes BLAS
 //! eligibility (`try_blas` rebuilds operand metadata from index lists),
 //! recomputes strided offsets from scratch, and re-resolves densely
@@ -32,8 +33,8 @@
 //!   compile time; the interpreter's per-visit `src_meta`/`tgt_meta`
 //!   probing disappears entirely. Each microkernel instruction carries
 //!   the **function pointer** of its implementation, chosen once at
-//!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA,
-//!   NEON, or portable `std::simd` — never re-decided per visit), plus
+//!   compile time by a [`crate::simd::KernelSet`] (scalar, AVX2+FMA or
+//!   AVX-512 — never re-decided per visit), plus
 //!   a [`RankSpec`] recording whether the body is rank-specialized.
 //! - `ZeroAxpy` / `ZeroXmul` / `ZeroGer` — **superinstructions** fusing
 //!   a term's Eq.-5 zero point with its first accumulation: when the
@@ -65,21 +66,20 @@
 //!
 //! # Contracts
 //!
-//! The tape mirrors the interpreter's decisions exactly — same loop
-//! structure, same microkernel choices, same floating-point operation
-//! order — so the two engines are mutually redundant oracles: the
-//! differential suite (`tests/tape_vs_interp.rs`) holds them to ≤1e-9
-//! (in practice bitwise) agreement. One compiled tape is shared by all
+//! The tape mirrors the reference interpreter's decisions exactly — same
+//! loop structure, same microkernel choices, same floating-point
+//! operation order — so the interpreter is an independent oracle: the
+//! differential suite (`tests/tape_vs_interp.rs`) holds a scalar tape
+//! to bitwise agreement with it. One compiled tape is shared by all
 //! worker threads (it is immutable and tile-parametric); the mutable
 //! driver state ([`TapeState`]) lives in each [`Workspace`], is
 //! preallocated by [`Workspace::prepare_tape`], and the driver performs
 //! **zero heap allocations and zero atomic operations** per execution —
-//! stats are plain per-workspace `u64`s folded into the global
-//! [`crate::interp::stats`] shim once per run.
+//! stats are plain per-workspace `u64`s.
 
 use crate::guard::RunGuard;
-use crate::interp::{
-    forest_stamp, stats, validate_operands, validate_output, validate_slots, ContractionOutput,
+use crate::runtime::{
+    forest_stamp, slot_refs, validate_operands, validate_output, validate_slots, ContractionOutput,
     ExecStats, OutputMut, Slots, Workspace,
 };
 use crate::simd::{AxpyFn, DotFn, GemvFn, GerFn, KernelSet, Microkernels, RankSpec, XmulFn};
@@ -636,7 +636,7 @@ impl CompiledTape {
     }
 
     /// Name of the recorded microkernel implementation family
-    /// (`"scalar"`, `"avx2+fma"`, `"neon"`, `"portable"`).
+    /// (`"scalar"`, `"avx2+fma"`, `"avx512f"`).
     pub fn microkernels(&self) -> &'static str {
         self.kernels.name()
     }
@@ -1680,13 +1680,18 @@ pub fn execute_tape_into_guarded(
 }
 
 /// Run a compiled tape over one [`CsfTile`], computing exactly the
-/// tile's additive contribution (the tape analogue of
-/// [`crate::execute_forest_tile_into`]).
+/// tile's additive contribution to the full contraction.
+///
+/// Only the tile's root fibers are iterated (and searches for densely
+/// iterated sparse root modes are confined to the tile). A dense `out`
+/// receives that partial sum; a sparse `out` must be the slice of
+/// output values covering exactly the tile's [`CsfTile::leaf_range`]
+/// (tiles write disjoint leaf ranges, so pattern-sharing outputs need
+/// no cross-tile reduction).
 ///
 /// After [`Workspace::prepare_tape`] ran, this performs zero heap
 /// allocations and zero atomic operations on the success path; the
-/// workspace's [`ExecStats`] describe this run and are folded into the
-/// global [`crate::interp::stats`] shim once at the end.
+/// workspace's [`ExecStats`] describe this run.
 pub fn execute_tape_tile_into(
     tape: &CompiledTape,
     kernel: &Kernel,
@@ -1733,8 +1738,9 @@ pub fn execute_tape_tile_into_guarded(
     )
 }
 
-/// One-shot convenience mirroring [`crate::execute_forest`]: compile
-/// the nest, allocate a fresh workspace and output, run the tape.
+/// One-shot convenience: compile the nest, allocate a fresh workspace
+/// and output, run the tape. `dense_factors` holds one tensor per
+/// *non-sparse* kernel input, in input order.
 pub fn execute_tape(
     kernel: &Kernel,
     path: &ContractionPath,
@@ -1744,17 +1750,8 @@ pub fn execute_tape(
 ) -> Result<ContractionOutput> {
     validate_operands(kernel, csf, dense_factors)?;
     let tape = CompiledTape::from_forest(kernel, path, forest)?;
-    let dummy = DenseTensor::zeros(&[]);
-    let mut refs: Vec<&DenseTensor> = Vec::with_capacity(kernel.inputs.len());
-    let mut next = 0usize;
-    for slot in 0..kernel.inputs.len() {
-        if slot == kernel.sparse_input {
-            refs.push(&dummy);
-        } else {
-            refs.push(dense_factors[next]);
-            next += 1;
-        }
-    }
+    let placeholder = DenseTensor::zeros(&[]);
+    let refs = slot_refs(kernel, dense_factors, &placeholder);
     let mut ws = Workspace::new(kernel, path, forest);
     ws.prepare_tape(&tape);
     if kernel.output_sparse {
@@ -1849,9 +1846,7 @@ pub(crate) fn run_tape(
         // even that for ungated runs.
         guard: guard.filter(|g| !g.is_noop()),
     };
-    run.go()?;
-    stats::fold(&ws.stats());
-    Ok(())
+    run.go()
 }
 
 struct Run<'a> {

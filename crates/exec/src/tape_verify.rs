@@ -342,6 +342,17 @@ struct Checker<'t> {
     report: TapeReport,
 }
 
+/// Last offset a strided sweep of `n` elements reaches past its base,
+/// or `None` when it touches nothing.
+fn span(n: usize, inc: usize) -> Option<usize> {
+    Some(n.checked_sub(1)? * inc)
+}
+
+/// [`span`] of an `m × n` strided matrix access.
+fn mat_span(m: usize, n: usize, rs: usize, cs: usize) -> Option<usize> {
+    Some(span(m, rs)? + span(n, cs)?)
+}
+
 /// Walk `tape` and prove every invariant; the module docs list them.
 pub(crate) fn verify(tape: &CompiledTape) -> Result<TapeReport, TapeInvariantError> {
     // The advance table is shared by all headers; cursors must be in
@@ -774,13 +785,15 @@ impl<'t> Checker<'t> {
 
     /// Bind a cursor to its backing store (rejecting aliasing) and
     /// prove its worst-case offset plus the access's own strided
-    /// extent inside the store.
+    /// extent (`None`: a zero trip count, touching nothing) inside the
+    /// store. An access under a zero-extent loop never runs, so only
+    /// its binding is checked.
     fn check_access(
         &mut self,
         pc: usize,
         cur: usize,
         store: Store,
-        extra: usize,
+        extra: Option<usize>,
     ) -> Result<(), TapeInvariantError> {
         self.in_range(pc, "cursor", cur, self.tape.n_cursors)?;
         match self.stores[cur] {
@@ -795,6 +808,13 @@ impl<'t> Checker<'t> {
                 });
             }
         }
+        let unreachable = self
+            .stack
+            .iter()
+            .any(|l| self.tape.bounds.index_dims[l.index] == 0);
+        let Some(extra) = extra.filter(|_| !unreachable) else {
+            return Ok(());
+        };
         let len = self.store_len(store);
         let max_offset = self.max_cursor_offset(cur) + extra;
         if max_offset >= len {
@@ -838,7 +858,7 @@ impl<'t> Checker<'t> {
                 if let RBuf::Inter(u) = buf {
                     self.require_zeroed(pc, u)?;
                 }
-                self.check_access(pc, cur, store, 0)
+                self.check_access(pc, cur, store, Some(0))
             }
             Read::SparseVal => Ok(()),
         }
@@ -862,7 +882,7 @@ impl<'t> Checker<'t> {
                     self.require_zeroed(pc, term)?;
                     Store::Buffer(term)
                 };
-                self.check_access(pc, cur, store, 0)
+                self.check_access(pc, cur, store, Some(0))
             }
             Write::SparseCell => {
                 if !self.tape.bounds.output_sparse {
@@ -899,7 +919,7 @@ impl<'t> Checker<'t> {
             }
             self.require_zeroed(pc, u)?;
         }
-        self.check_access(pc, v.cur, store, n.saturating_sub(1) * v.inc)
+        self.check_access(pc, v.cur, store, span(n, v.inc))
     }
 
     /// Strided matrix source (GEMV's `A`, `m × n`).
@@ -922,8 +942,7 @@ impl<'t> Checker<'t> {
             }
             self.require_zeroed(pc, u)?;
         }
-        let extra = m.saturating_sub(1) * a.rs + n.saturating_sub(1) * a.cs;
-        self.check_access(pc, a.cur, store, extra)
+        self.check_access(pc, a.cur, store, mat_span(m, n, a.rs, a.cs))
     }
 
     /// Strided vector target sweeping `n` elements into the output or
@@ -947,7 +966,7 @@ impl<'t> Checker<'t> {
             self.require_zeroed(pc, term)?;
             Store::Buffer(term)
         };
-        self.check_access(pc, y.cur, store, n.saturating_sub(1) * y.inc)
+        self.check_access(pc, y.cur, store, span(n, y.inc))
     }
 
     /// Strided matrix target (GER's `A`, `m × n`).
@@ -971,8 +990,7 @@ impl<'t> Checker<'t> {
             self.require_zeroed(pc, term)?;
             Store::Buffer(term)
         };
-        let extra = m.saturating_sub(1) * a.rs + n.saturating_sub(1) * a.cs;
-        self.check_access(pc, a.cur, store, extra)
+        self.check_access(pc, a.cur, store, mat_span(m, n, a.rs, a.cs))
     }
 
     /// Rank-specialized sites must dispatch with exactly the pinned
@@ -1020,7 +1038,7 @@ impl<'t> Checker<'t> {
                 len,
             });
         }
-        self.check_access(pc, y.cur, Store::Buffer(term), n.saturating_sub(1))?;
+        self.check_access(pc, y.cur, Store::Buffer(term), span(n, 1))?;
         self.zeroed[term] = true;
         Ok(())
     }
@@ -1044,8 +1062,7 @@ impl<'t> Checker<'t> {
                 len,
             });
         }
-        let extra = m.saturating_sub(1) * a.rs + n.saturating_sub(1) * a.cs;
-        self.check_access(pc, a.cur, Store::Buffer(term), extra)?;
+        self.check_access(pc, a.cur, Store::Buffer(term), mat_span(m, n, a.rs, a.cs))?;
         self.zeroed[term] = true;
         Ok(())
     }
@@ -1260,6 +1277,34 @@ mod tests {
             r.resolver_sites > 0,
             "resolver nest exercises check_resolver"
         );
+    }
+
+    /// A zero-length index empties every loop and microkernel over it:
+    /// accesses that never run must not be flagged against the
+    /// zero-length stores they would address.
+    #[test]
+    fn zero_extent_tapes_verify_clean() {
+        for (r, s) in [(0, 5), (4, 0), (0, 0)] {
+            let k = parse_kernel(
+                "S(i,r,s) = T(i,j,k) * U(j,r) * V(k,s)",
+                &[("i", 8), ("j", 9), ("k", 10), ("r", r), ("s", s)],
+            )
+            .unwrap();
+            let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
+            for orders in [
+                vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
+                vec![vec![0, 1, 4, 2], vec![0, 1, 4, 3]],
+            ] {
+                let forest = build_forest(&k, &path, &NestSpec { orders }).unwrap();
+                let specs = buffers_for_forest(&k, &path, &forest, None);
+                for ks in [KernelSet::scalar(), KernelSet::auto_detected()] {
+                    CompiledTape::compile_with_kernels(&k, &path, &forest, &specs, ks)
+                        .unwrap()
+                        .verify()
+                        .expect("zero-extent tape verifies clean");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Interpreter golden tests: every fused loop nest must reproduce the
-//! naive dense einsum oracle, across the paper's listings and output
-//! flavors (dense, pattern-sharing), fused and unfused forests, and the
-//! BLAS dispatch paths (AXPY, DOT, elementwise, GER, GEMV).
+//! Reference-interpreter golden tests: every fused loop nest must
+//! reproduce the naive dense einsum oracle, across the paper's listings
+//! and output flavors (dense, pattern-sharing), fused and unfused
+//! forests, and the BLAS dispatch paths (AXPY, DOT, elementwise, GER,
+//! GEMV). The workspace-reuse contracts at the end run on the tape.
 
 use rand::prelude::*;
-use spttn_exec::{execute_forest, naive_einsum, ContractionOutput};
-use spttn_ir::{build_forest, parse_kernel, path_from_picks, Kernel, NestSpec};
+use spttn_exec::reference::interpret;
+use spttn_exec::{naive_einsum, ContractionOutput, ExecStats};
+use spttn_ir::{
+    buffers_for_forest, build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel,
+    LoopForest, NestSpec,
+};
 use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 
 const TOL: f64 = 1e-9;
@@ -26,6 +31,42 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
+/// Interpret a nest over the whole tensor (one tile).
+fn interpret_all(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    forest: &LoopForest,
+    csf: &Csf,
+    refs: &[&DenseTensor],
+) -> spttn_core::Result<(ContractionOutput, ExecStats)> {
+    let specs = buffers_for_forest(kernel, path, forest, None);
+    interpret(
+        kernel,
+        path,
+        forest,
+        &specs,
+        csf,
+        &csf.partition(1)[0],
+        refs,
+    )
+}
+
+fn run_stats(
+    kernel: &Kernel,
+    picks: &[(usize, usize)],
+    orders: Vec<Vec<usize>>,
+    coo: &CooTensor,
+    factors: &[DenseTensor],
+) -> (ContractionOutput, ExecStats) {
+    let path = path_from_picks(kernel, picks);
+    let spec = NestSpec { orders };
+    let forest = build_forest(kernel, &path, &spec).unwrap();
+    let order: Vec<usize> = (0..coo.order()).collect();
+    let csf = Csf::from_coo(coo, &order).unwrap();
+    let refs: Vec<&DenseTensor> = factors.iter().collect();
+    interpret_all(kernel, &path, &forest, &csf, &refs).unwrap()
+}
+
 fn run(
     kernel: &Kernel,
     picks: &[(usize, usize)],
@@ -33,13 +74,7 @@ fn run(
     coo: &CooTensor,
     factors: &[DenseTensor],
 ) -> ContractionOutput {
-    let path = path_from_picks(kernel, picks);
-    let spec = NestSpec { orders };
-    let forest = build_forest(kernel, &path, &spec).unwrap();
-    let order: Vec<usize> = (0..coo.order()).collect();
-    let csf = Csf::from_coo(coo, &order).unwrap();
-    let refs: Vec<&DenseTensor> = factors.iter().collect();
-    execute_forest(kernel, &path, &forest, &csf, &refs).unwrap()
+    run_stats(kernel, picks, orders, coo, factors).0
 }
 
 fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
@@ -60,16 +95,14 @@ fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing3_matches_oracle() {
     let (k, coo, f) = ttmc_setup(1);
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_stats(
         &k,
         &[(0, 2), (0, 1)],
         vec![vec![0, 1, 2, 4], vec![0, 1, 4, 3]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.axpy > before.axpy, "AXPY microkernel should dispatch");
+    assert!(stats.axpy > 0, "AXPY microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -195,16 +228,14 @@ fn ger_dispatch_matches_oracle() {
     let coo = random_coo(&[6], 4, &mut rng).unwrap();
     let f = vec![random_dense(&[5], &mut rng), random_dense(&[4], &mut rng)];
     // Path (U*V) -> X0(r,s) [GER]; (T*X0) -> S.
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_stats(
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1, 2]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.ger > before.ger, "GER microkernel should dispatch");
+    assert!(stats.ger > 0, "GER microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -226,16 +257,14 @@ fn gemv_dispatch_matches_oracle() {
     ];
     // Path (A*B) -> X0(i) [GEMV]; (T*X0) -> C. Index ids follow the
     // sparse tensor first: k=0, i=1, j=2.
-    let before = spttn_exec::interp::stats::snapshot();
-    let got = run(
+    let (got, stats) = run_stats(
         &k,
         &[(1, 2), (0, 1)],
         vec![vec![1, 2], vec![0, 1]],
         &coo,
         &f,
     );
-    let after = spttn_exec::interp::stats::snapshot();
-    assert!(after.gemv > before.gemv, "GEMV microkernel should dispatch");
+    assert!(stats.gemv > 0, "GEMV microkernel should dispatch");
     let want = oracle(&k, &coo, &f);
     assert!(got.to_dense().approx_eq(&want, TOL));
 }
@@ -253,14 +282,14 @@ fn executor_validates_shapes() {
     let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
     // Swap the factors: dims no longer match the kernel.
     let refs: Vec<&DenseTensor> = vec![&f[1], &f[0]];
-    assert!(execute_forest(&k, &path, &forest, &csf, &refs).is_err());
+    assert!(interpret_all(&k, &path, &forest, &csf, &refs).is_err());
     // Too few factors.
     let refs2: Vec<&DenseTensor> = vec![&f[0]];
-    assert!(execute_forest(&k, &path, &forest, &csf, &refs2).is_err());
+    assert!(interpret_all(&k, &path, &forest, &csf, &refs2).is_err());
     // CSF built in a different mode order than the kernel declares.
     let bad_csf = Csf::from_coo(&coo, &[2, 1, 0]).unwrap();
     let refs3: Vec<&DenseTensor> = f.iter().collect();
-    assert!(execute_forest(&k, &path, &forest, &bad_csf, &refs3).is_err());
+    assert!(interpret_all(&k, &path, &forest, &bad_csf, &refs3).is_err());
 }
 
 /// Order-4 TTMc with the Fig. 6 nest: two buffers, deep fusion.
@@ -304,12 +333,12 @@ fn order4_ttmc_fig6_matches_oracle() {
 
 /// A reused workspace must produce identical results across executions
 /// (stale intermediate/cursor state fully overwritten), and the
-/// accumulate contract of `execute_forest_into` must hold: contributions
+/// accumulate contract of `execute_tape_into` must hold: contributions
 /// add on top of whatever the caller left in the output.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn workspace_reuse_is_deterministic_and_accumulating() {
-    use spttn_exec::{execute_forest_into, OutputMut, Workspace};
+    use spttn_exec::{execute_tape_into, CompiledTape, OutputMut, Workspace};
 
     let (k, coo, factors) = ttmc_setup(77);
     let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
@@ -321,33 +350,16 @@ fn workspace_reuse_is_deterministic_and_accumulating() {
 
     let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
     slots.extend(factors.iter().cloned());
+    let tape = CompiledTape::from_forest(&k, &path, &forest).unwrap();
     let mut ws = Workspace::new(&k, &path, &forest);
     let want = oracle(&k, &coo, &factors);
 
     let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
+    execute_tape_into(&tape, &k, &csf, &slots, &mut ws, OutputMut::Dense(&mut out)).unwrap();
     assert!(out.approx_eq(&want, TOL), "first execution diverged");
 
     // Second run into the same (non-zeroed) output accumulates: 2×.
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
+    execute_tape_into(&tape, &k, &csf, &slots, &mut ws, OutputMut::Dense(&mut out)).unwrap();
     let mut twice = want.clone();
     for (d, s) in twice.as_mut_slice().iter_mut().zip(want.as_slice()) {
         *d += s;
@@ -356,24 +368,14 @@ fn workspace_reuse_is_deterministic_and_accumulating() {
 
     // Zeroed output, reused workspace: back to the oracle exactly.
     out.fill_zero();
-    execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
+    execute_tape_into(&tape, &k, &csf, &slots, &mut ws, OutputMut::Dense(&mut out)).unwrap();
     assert!(out.approx_eq(&want, TOL), "reused workspace diverged");
 
     // Mismatched output flavor is rejected.
     let mut vals = vec![0.0; csf.nnz()];
-    let e = execute_forest_into(
+    let e = execute_tape_into(
+        &tape,
         &k,
-        &path,
-        &forest,
         &csf,
         &slots,
         &mut ws,
@@ -388,7 +390,7 @@ fn workspace_reuse_is_deterministic_and_accumulating() {
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn workspace_from_other_forest_is_rejected() {
-    use spttn_exec::{execute_forest_into, OutputMut, Workspace};
+    use spttn_exec::{execute_tape_into, CompiledTape, OutputMut, Workspace};
 
     let (k, coo, factors) = ttmc_setup(78);
     let path = path_from_picks(&k, &[(0, 2), (0, 1)]);
@@ -413,15 +415,8 @@ fn workspace_from_other_forest_is_rejected() {
     slots.extend(factors.iter().cloned());
     let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
 
+    let tape = CompiledTape::from_forest(&k, &path, &fused).unwrap();
     let mut ws = Workspace::new(&k, &path, &unfused);
-    let e = execute_forest_into(
-        &k,
-        &path,
-        &fused,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    );
+    let e = execute_tape_into(&tape, &k, &csf, &slots, &mut ws, OutputMut::Dense(&mut out));
     assert!(e.is_err(), "mismatched workspace was accepted");
 }

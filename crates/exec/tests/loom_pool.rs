@@ -251,8 +251,8 @@ mod stress {
     #[cfg_attr(miri, ignore)] // covered by parallel_exec's determinism test
     fn parallel_execution_is_deterministic() {
         use rand::{rngs::StdRng, SeedableRng};
-        use spttn_exec::execute_forest_parallel;
-        use spttn_ir::{build_forest, parse_kernel, path_from_picks, NestSpec};
+        use spttn_exec::{CompiledTape, OutputMut, ParallelExecutor};
+        use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
         use spttn_tensor::{random_coo, random_dense, Csf, DenseTensor};
 
         let k = parse_kernel(
@@ -268,23 +268,29 @@ mod stress {
         let mut rng = StdRng::seed_from_u64(7);
         let coo = random_coo(&[12, 10, 11], 180, &mut rng).unwrap();
         let csf = Csf::from_coo(&coo, &[0, 1, 2]).unwrap();
-        let factors = [
+        let slots = [
+            DenseTensor::zeros(&[]),
             random_dense(&[10, 6], &mut rng),
             random_dense(&[11, 6], &mut rng),
         ];
-        let refs: Vec<&DenseTensor> = factors.iter().collect();
-        let base = execute_forest_parallel(&k, &path, &forest, &csf, &refs, 3).unwrap();
+        let specs = buffers_for_forest(&k, &path, &forest, None);
+        let tape = std::sync::Arc::new(CompiledTape::compile(&k, &path, &forest, &specs).unwrap());
+        // A fresh executor (and pool) per run, like the one-shot path.
+        let run = || {
+            let mut par = ParallelExecutor::new(tape.clone(), &k, &path, &forest, &specs, &csf, 3);
+            let mut out = DenseTensor::zeros(&[12, 6]);
+            par.execute_into(&k, &csf, &slots, OutputMut::Dense(&mut out))
+                .unwrap();
+            out
+        };
+        let base = run();
         for _ in 0..4 {
-            let again = execute_forest_parallel(&k, &path, &forest, &csf, &refs, 3).unwrap();
-            match (&base, &again) {
-                (
-                    spttn_exec::ContractionOutput::Dense(a),
-                    spttn_exec::ContractionOutput::Dense(b),
-                ) => {
-                    assert_eq!(a.as_slice(), b.as_slice(), "nondeterministic reduction")
-                }
-                _ => panic!("expected dense outputs"),
-            }
+            let again = run();
+            assert_eq!(
+                base.as_slice(),
+                again.as_slice(),
+                "nondeterministic reduction"
+            );
         }
     }
 }

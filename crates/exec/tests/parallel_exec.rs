@@ -1,15 +1,16 @@
-//! Exec-level parallel golden tests: the scoped one-shot fan-out and
-//! the persistent [`ParallelExecutor`] must match the serial
-//! interpreter on dense- and sparse-output nests, at every thread
-//! count, bitwise-deterministically.
+//! Exec-level parallel golden tests: the persistent [`ParallelExecutor`]
+//! must match the serial reference interpreter on dense- and
+//! sparse-output nests, at every thread count, bitwise-deterministically.
 
 use rand::prelude::*;
+use spttn_exec::reference::interpret;
 use spttn_exec::{
-    execute_forest, execute_forest_parallel, ContractionOutput, OutputMut, ParallelExecutor,
-    Workspace,
+    execute_tape_into, execute_tape_tile_into, CompiledTape, ContractionOutput, OutputMut,
+    ParallelExecutor, Workspace,
 };
 use spttn_ir::{buffers_for_forest, build_forest, parse_kernel, path_from_picks, NestSpec};
 use spttn_tensor::{random_coo, random_dense, Csf, DenseTensor};
+use std::sync::Arc;
 
 const TOL: f64 = 1e-9;
 
@@ -79,33 +80,14 @@ fn tttp_fixture(seed: u64) -> Fixture {
     }
 }
 
+/// The serial reference interpreter over the whole tensor.
 fn serial(f: &Fixture) -> ContractionOutput {
     let refs: Vec<&DenseTensor> = f.factors.iter().collect();
-    execute_forest(&f.kernel, &f.path, &f.forest, &f.csf, &refs).unwrap()
-}
-
-#[test]
-#[cfg_attr(miri, ignore)] // too slow under the interpreter
-fn scoped_parallel_matches_serial() {
-    for fixture in [ttmc_fixture(11), tttp_fixture(12)] {
-        let want = serial(&fixture).to_dense();
-        let refs: Vec<&DenseTensor> = fixture.factors.iter().collect();
-        for threads in [1, 2, 3, 4, 7, 64] {
-            let got = execute_forest_parallel(
-                &fixture.kernel,
-                &fixture.path,
-                &fixture.forest,
-                &fixture.csf,
-                &refs,
-                threads,
-            )
-            .unwrap();
-            assert!(
-                got.to_dense().approx_eq(&want, TOL),
-                "threads = {threads} diverged from serial"
-            );
-        }
-    }
+    let specs = buffers_for_forest(&f.kernel, &f.path, &f.forest, None);
+    let tile = &f.csf.partition(1)[0];
+    interpret(&f.kernel, &f.path, &f.forest, &specs, &f.csf, tile, &refs)
+        .unwrap()
+        .0
 }
 
 /// Slot-ordered factors (placeholder in the sparse slot), as the
@@ -116,27 +98,72 @@ fn slotted(f: &Fixture) -> Vec<DenseTensor> {
     slots
 }
 
+/// A scalar tape for the fixture's nest, shareable across workers.
+fn tape(f: &Fixture) -> Arc<CompiledTape> {
+    Arc::new(CompiledTape::from_forest(&f.kernel, &f.path, &f.forest).unwrap())
+}
+
+fn parallel(f: &Fixture, threads: usize) -> ParallelExecutor {
+    let specs = buffers_for_forest(&f.kernel, &f.path, &f.forest, None);
+    ParallelExecutor::new(
+        tape(f),
+        &f.kernel,
+        &f.path,
+        &f.forest,
+        &specs,
+        &f.csf,
+        threads,
+    )
+}
+
+#[test]
+#[cfg_attr(miri, ignore)] // too slow under the interpreter
+fn parallel_matches_serial_at_every_thread_count() {
+    for fixture in [ttmc_fixture(11), tttp_fixture(12)] {
+        let want = serial(&fixture).to_dense();
+        let slots = slotted(&fixture);
+        for threads in [1, 2, 3, 4, 7, 64] {
+            let mut par = parallel(&fixture, threads);
+            let got = if fixture.kernel.output_sparse {
+                let mut vals = vec![0.0; fixture.csf.nnz()];
+                par.execute_into(
+                    &fixture.kernel,
+                    &fixture.csf,
+                    &slots,
+                    OutputMut::Sparse(&mut vals),
+                )
+                .unwrap();
+                fixture.csf.to_coo().with_vals(vals).to_dense()
+            } else {
+                let mut out = DenseTensor::zeros(&fixture.kernel.ref_dims(&fixture.kernel.output));
+                par.execute_into(
+                    &fixture.kernel,
+                    &fixture.csf,
+                    &slots,
+                    OutputMut::Dense(&mut out),
+                )
+                .unwrap();
+                out
+            };
+            assert!(
+                got.approx_eq(&want, TOL),
+                "threads = {threads} diverged from serial"
+            );
+        }
+    }
+}
+
 #[test]
 fn parallel_executor_matches_serial_and_is_deterministic() {
     let fixture = ttmc_fixture(21);
     let want = serial(&fixture).to_dense();
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
     for threads in [2, 4, 7] {
-        let mut par = ParallelExecutor::new(
-            &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
-            &specs,
-            &fixture.csf,
-            threads,
-        );
+        let mut par = parallel(&fixture, threads);
         let mut run = || {
             let mut out = DenseTensor::zeros(&[20, 4, 5]);
             par.execute_into(
                 &fixture.kernel,
-                &fixture.path,
-                &fixture.forest,
                 &fixture.csf,
                 &slots,
                 OutputMut::Dense(&mut out),
@@ -158,20 +185,10 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
     let fixture = tttp_fixture(22);
     let want = serial(&fixture).to_dense();
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
-    let mut par = ParallelExecutor::new(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &specs,
-        &fixture.csf,
-        4,
-    );
+    let mut par = parallel(&fixture, 4);
     let mut vals = vec![0.0; fixture.csf.nnz()];
     par.execute_into(
         &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
         &fixture.csf,
         &slots,
         OutputMut::Sparse(&mut vals),
@@ -188,10 +205,9 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
     // Stats aggregate across tiles to the serial counts.
     let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
     let mut serial_vals = vec![0.0; fixture.csf.nnz()];
-    spttn_exec::execute_forest_into(
+    execute_tape_into(
+        &tape(&fixture),
         &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
         &fixture.csf,
         &slots,
         &mut ws,
@@ -209,15 +225,7 @@ fn parallel_executor_sparse_output_disjoint_ranges() {
 fn parallel_executor_rejects_different_structure() {
     let fixture = ttmc_fixture(31);
     let slots = slotted(&fixture);
-    let specs = buffers_for_forest(&fixture.kernel, &fixture.path, &fixture.forest, None);
-    let mut par = ParallelExecutor::new(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &specs,
-        &fixture.csf,
-        4,
-    );
+    let mut par = parallel(&fixture, 4);
     // Same dims and nnz, different pattern (different seed).
     let mut rng = StdRng::seed_from_u64(99);
     let other = Csf::from_coo(
@@ -228,14 +236,7 @@ fn parallel_executor_rejects_different_structure() {
     assert_eq!(other.nnz(), fixture.csf.nnz());
     let mut out = DenseTensor::zeros(&[20, 4, 5]);
     let err = par
-        .execute_into(
-            &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
-            &other,
-            &slots,
-            OutputMut::Dense(&mut out),
-        )
+        .execute_into(&fixture.kernel, &other, &slots, OutputMut::Dense(&mut out))
         .unwrap_err();
     assert!(
         format!("{err}").contains("different structure"),
@@ -244,15 +245,8 @@ fn parallel_executor_rejects_different_structure() {
     // Same-pattern value updates still execute fine.
     let mut same = fixture.csf.clone();
     same.vals_mut().iter_mut().for_each(|v| *v *= 2.0);
-    par.execute_into(
-        &fixture.kernel,
-        &fixture.path,
-        &fixture.forest,
-        &same,
-        &slots,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
+    par.execute_into(&fixture.kernel, &same, &slots, OutputMut::Dense(&mut out))
+        .unwrap();
 }
 
 #[test]
@@ -262,14 +256,14 @@ fn tile_partials_sum_to_full_output() {
     let want = serial(&fixture).to_dense();
     let slots = slotted(&fixture);
     let tiles = fixture.csf.partition(3);
+    let tape = tape(&fixture);
     let mut acc = DenseTensor::zeros(&[20, 4, 5]);
     for tile in &tiles {
         let mut ws = Workspace::new(&fixture.kernel, &fixture.path, &fixture.forest);
         let mut partial = DenseTensor::zeros(&[20, 4, 5]);
-        spttn_exec::execute_forest_tile_into(
+        execute_tape_tile_into(
+            &tape,
             &fixture.kernel,
-            &fixture.path,
-            &fixture.forest,
             &fixture.csf,
             tile,
             &slots,

@@ -1,14 +1,18 @@
-//! Tape-engine golden tests: every compiled tape must reproduce both
-//! the naive dense einsum oracle and the recursive interpreter —
+//! Tape golden tests: every compiled tape must reproduce both the naive
+//! dense einsum oracle and the recursive reference interpreter —
 //! across fused and unfused forests, dense and pattern-sharing
 //! outputs, all five microkernel lowerings, and (crucially) the nests
 //! that force sparse-node re-resolution, where the tape's finger
 //! search replaces the interpreter's per-visit binary search.
 
 use rand::prelude::*;
+use spttn_exec::reference::interpret;
 use spttn_exec::tape::{execute_tape, execute_tape_into, CompiledTape};
-use spttn_exec::{execute_forest, naive_einsum, ContractionOutput, OutputMut, Workspace};
-use spttn_ir::{build_forest, parse_kernel, path_from_picks, Kernel, NestSpec};
+use spttn_exec::{naive_einsum, ContractionOutput, ExecStats, OutputMut, Workspace};
+use spttn_ir::{
+    buffers_for_forest, build_forest, parse_kernel, path_from_picks, ContractionPath, Kernel,
+    LoopForest, NestSpec,
+};
 use spttn_tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor};
 
 const TOL: f64 = 1e-9;
@@ -29,7 +33,29 @@ fn oracle(kernel: &Kernel, coo: &CooTensor, factors: &[DenseTensor]) -> DenseTen
     naive_einsum(kernel, &all).unwrap()
 }
 
-/// Run one nest through both engines, asserting bitwise agreement
+/// Interpret a nest over the whole tensor (one tile).
+fn reference(
+    kernel: &Kernel,
+    path: &ContractionPath,
+    forest: &LoopForest,
+    csf: &Csf,
+    refs: &[&DenseTensor],
+) -> (ContractionOutput, ExecStats) {
+    let specs = buffers_for_forest(kernel, path, forest, None);
+    interpret(
+        kernel,
+        path,
+        forest,
+        &specs,
+        csf,
+        &csf.partition(1)[0],
+        refs,
+    )
+    .unwrap()
+}
+
+/// Run one nest through the tape and the reference, asserting bitwise
+/// agreement
 /// (the tape mirrors the interpreter's operation order exactly), and
 /// return the tape's output for the oracle check.
 fn run_both(
@@ -51,7 +77,7 @@ fn run_both(
         .unwrap()
         .verify()
         .expect("golden tape verifies clean");
-    let interp = execute_forest(kernel, &path, &forest, &csf, &refs).unwrap();
+    let (interp, _) = reference(kernel, &path, &forest, &csf, &refs);
     let tape = execute_tape(kernel, &path, &forest, &csf, &refs).unwrap();
     match (&interp, &tape) {
         (ContractionOutput::Dense(a), ContractionOutput::Dense(b)) => {
@@ -60,7 +86,7 @@ fn run_both(
         (ContractionOutput::Sparse(a), ContractionOutput::Sparse(b)) => {
             assert_eq!(a.vals(), b.vals(), "tape != interp bitwise (sparse)");
         }
-        _ => panic!("engines disagree on output flavor"),
+        _ => panic!("tape and reference disagree on output flavor"),
     }
     tape
 }
@@ -79,7 +105,7 @@ fn ttmc_setup(seed: u64) -> (Kernel, CooTensor, Vec<DenseTensor>) {
 }
 
 /// Listing 3: 1-d buffer, sparse k loop, trailing dense s (AXPY path),
-/// all CSF levels tracked — no searches at all on either engine.
+/// all CSF levels tracked — no searches at all on either side.
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn ttmc_listing3_matches_oracle() {
@@ -291,8 +317,8 @@ fn order4_ttmc_fig6_matches_oracle() {
 }
 
 /// Randomized sweep: every (path, spec) the order-3 TTMc admits on a
-/// few seeds, so loop shapes beyond the handcrafted listings hit both
-/// engines (the tape must never diverge, whatever the nest).
+/// few seeds, so loop shapes beyond the handcrafted listings hit the tape
+/// and the reference (the tape must never diverge, whatever the nest).
 #[test]
 #[cfg_attr(miri, ignore)] // too slow under the interpreter
 fn randomized_nests_agree_with_interpreter() {
@@ -308,12 +334,12 @@ fn randomized_nests_agree_with_interpreter() {
             let Ok(forest) = build_forest(&k, &path, &spec) else {
                 continue;
             };
-            let interp = execute_forest(&k, &path, &forest, &csf, &refs).unwrap();
+            let (interp, _) = reference(&k, &path, &forest, &csf, &refs);
             let tape = execute_tape(&k, &path, &forest, &csf, &refs).unwrap();
             assert_eq!(
                 interp.to_dense().as_slice(),
                 tape.to_dense().as_slice(),
-                "engines diverged on {}",
+                "tape and reference diverged on {}",
                 forest.render(&k, &path)
             );
             assert!(tape.to_dense().approx_eq(&want, TOL));
@@ -331,7 +357,7 @@ fn randomized_nests_agree_with_interpreter() {
 /// tracked (dense iteration over the sparse term's modes is rejected
 /// as `BrokenDescent`), so planner-built nests never re-resolve — the
 /// resolution path is the *executor-level* contract for forests that
-/// iterate a sparse mode densely, which both engines support: absent
+/// iterate a sparse mode densely, which the tape and the reference both support: absent
 /// coordinates read zero by lineage pruning. Build such a forest
 /// directly by flipping the root vertex of Listing 3 to dense.
 #[test]
@@ -362,22 +388,10 @@ fn finger_search_beats_binary_search_probes() {
     iv.kind = VertexKind::Dense;
 
     let refs: Vec<&DenseTensor> = vec![&u, &v];
-    // Interpreter: run through a workspace to read its stats.
-    let mut ws = Workspace::new(&k, &path, &forest);
+    let (interp, interp_stats) = reference(&k, &path, &forest, &csf, &refs);
+    let out = interp.to_dense();
     let mut slots: Vec<DenseTensor> = vec![DenseTensor::zeros(&[])];
     slots.extend([u.clone(), v.clone()]);
-    let mut out = DenseTensor::zeros(&k.ref_dims(&k.output));
-    spttn_exec::execute_forest_into(
-        &k,
-        &path,
-        &forest,
-        &csf,
-        &slots,
-        &mut ws,
-        OutputMut::Dense(&mut out),
-    )
-    .unwrap();
-    let interp_stats = ws.stats();
 
     let tape = CompiledTape::from_forest(&k, &path, &forest).unwrap();
     assert!(tape.num_fingers() > 0, "nest must need re-resolution");

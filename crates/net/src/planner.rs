@@ -64,7 +64,7 @@ pub struct NetOptions {
     /// have (guards the single-kernel planner's search space).
     pub max_kernel_inputs: usize,
     /// Planner options for the collapsed sparse kernel (cost model,
-    /// engine, threads, …).
+    /// microkernels, threads, …).
     pub plan: PlanOptions,
 }
 

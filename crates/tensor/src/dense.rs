@@ -56,9 +56,10 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 impl DenseTensor {
     /// Create a zero-filled tensor with the given dimensions.
     ///
-    /// A zero-order tensor (`dims == []`) is a scalar holding one value.
+    /// A zero-order tensor (`dims == []`) is a scalar holding one value
+    /// (the empty product); any zero dimension makes the tensor empty.
     pub fn zeros(dims: &[usize]) -> Self {
-        let len = dims.iter().product::<usize>().max(1);
+        let len = dims.iter().product::<usize>();
         DenseTensor {
             dims: dims.to_vec(),
             strides: row_major_strides(dims),
@@ -68,7 +69,7 @@ impl DenseTensor {
 
     /// Create a tensor from an explicit row-major data vector.
     pub fn from_data(dims: &[usize], data: Vec<f64>) -> Result<Self, TensorError> {
-        let len = dims.iter().product::<usize>().max(1);
+        let len = dims.iter().product::<usize>();
         if data.len() != len {
             return Err(TensorError::OrderMismatch {
                 expected: len,
@@ -245,6 +246,10 @@ mod tests {
         assert_eq!(t.len(), 24);
         assert_eq!(t.strides(), &[12, 4, 1]);
         assert_eq!(t.sum(), 0.0);
+        // A zero-length mode holds no elements at all.
+        assert_eq!(DenseTensor::zeros(&[3, 0]).len(), 0);
+        assert!(DenseTensor::from_data(&[3, 0], vec![]).is_ok());
+        assert!(DenseTensor::from_data(&[3, 0], vec![0.0]).is_err());
     }
 
     #[test]

@@ -227,14 +227,14 @@ impl PlanCache {
         } else if res.is_ok() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        // The symbolic nest is identical for every thread count,
-        // engine, and microkernel policy, so `ExecOptions` stay out of
-        // the key — but the caller's options must win over whatever
-        // the flight leader planned with: re-apply them on a mismatch
-        // (hits with matching options keep sharing the cached `Arc`
-        // untouched). `ExecOptions` derives `PartialEq` over every
-        // field, so a new field (engine, verify, microkernels…)
-        // is re-applied here automatically.
+        // The symbolic nest is identical for every thread count and
+        // microkernel policy, so `ExecOptions` stay out of the key —
+        // but the caller's options must win over whatever the flight
+        // leader planned with: re-apply them on a mismatch (hits with
+        // matching options keep sharing the cached `Arc` untouched).
+        // `ExecOptions` derives `PartialEq` over every field, so a new
+        // field (verify, microkernels…) is re-applied here
+        // automatically.
         res.map(|plan| {
             if plan.exec() == opts.exec {
                 plan

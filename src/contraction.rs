@@ -95,29 +95,6 @@ impl Threads {
     }
 }
 
-/// Which execution engine a bound [`crate::Executor`] runs.
-///
-/// Both engines execute the identical plan and mirror each other's
-/// floating-point operation order, so results agree to the last bit in
-/// practice (and are held to ≤1e-9 by the differential suite). The
-/// interpreter is kept as the independently-implemented oracle: run it
-/// when validating the tape engine, bisecting a suspected executor
-/// bug, or measuring the specialization speedup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// Compile the loop forest to a flat instruction tape at bind time
-    /// ([`spttn_exec::tape`]): per-visit dispatch, microkernel
-    /// selection, and operand addressing are resolved once, densely
-    /// iterated sparse modes use a monotone finger search, and the
-    /// driver runs allocation- and atomic-free. The default.
-    #[default]
-    Tape,
-    /// The recursive loop-forest interpreter
-    /// ([`spttn_exec::execute_forest_into`]) — re-derives per-visit
-    /// decisions from the forest; slower, kept as the oracle engine.
-    Interp,
-}
-
 /// Resource budget evaluated at [`Plan::bind`] (and
 /// `NetworkPlan::bind` in `spttn-net`) **before** any workspace is
 /// allocated — the admission-control half of the hardened runtime.
@@ -171,9 +148,8 @@ impl RunBudget {
 /// persistent worker pool with one preallocated workspace and private
 /// output per thread; partial outputs combine through a deterministic
 /// tree reduction, so results are bit-reproducible run to run at a
-/// fixed thread count (and within ≤1e-9 of the serial path). The
-/// [`Engine`] choice is orthogonal: one compiled tape is shared by
-/// every worker thread.
+/// fixed thread count (and within ≤1e-9 of the serial path). One
+/// compiled tape is shared by every worker thread.
 ///
 /// The robustness fields ([`RunBudget`], `deadline`, `cancel`) gate
 /// and bound executions: the budget is enforced at bind time, the
@@ -183,21 +159,18 @@ impl RunBudget {
 pub struct ExecOptions {
     /// Threads the bound executor runs on.
     pub threads: Threads,
-    /// Engine executions run on (default [`Engine::Tape`]).
-    pub engine: Engine,
     /// Statically verify the compiled tape at bind time
     /// ([`CompiledTape::verify`](spttn_exec::CompiledTape::verify))
     /// even in release builds. Debug builds always verify; the check
     /// is O(program size) and runs once per bind, never per execute.
     pub verify: bool,
-    /// Microkernel policy for the tape engine (default
+    /// Microkernel policy for the compiled tape (default
     /// [`Microkernels::Auto`]): `Auto` selects explicit-SIMD kernels
-    /// (AVX2+FMA / NEON) by runtime CPU detection once at bind time
+    /// (AVX2+FMA / AVX-512 on x86_64) by runtime CPU detection once at bind time
     /// and enables the fused/rank-specialized tape superinstructions;
     /// `Scalar` pins the plain scalar kernels, bitwise-identical to
     /// the pre-SIMD tape. The `SPTTN_MICROKERNELS` environment
-    /// variable (`auto` / `scalar`) overrides either. Interpreter
-    /// executions always use the scalar kernels.
+    /// variable (`auto` / `scalar`) overrides either.
     pub microkernels: Microkernels,
     /// Per-execution wall-clock limit, measured from each
     /// `execute_into` call; expiry surfaces as
@@ -215,12 +188,11 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     /// Serial execution — parallelism is opt-in, keeping default plans
-    /// byte-identical to previous releases — on the tape engine, with
-    /// no deadline, token, or budget.
+    /// byte-identical to previous releases — with no deadline, token, or
+    /// budget.
     fn default() -> Self {
         ExecOptions {
             threads: Threads::N(1),
-            engine: Engine::Tape,
             verify: false,
             microkernels: Microkernels::Auto,
             deadline: None,
@@ -284,14 +256,6 @@ impl PlanOptions {
         self
     }
 
-    /// Set the execution engine (builder style). [`Engine::Tape`] is
-    /// the default; [`Engine::Interp`] selects the recursive
-    /// interpreter — the differential-testing oracle.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.exec.engine = engine;
-        self
-    }
-
     /// Statically verify the compiled tape at bind time even in
     /// release builds (builder style). Debug builds always verify.
     /// Like every [`ExecOptions`] field this is honored on
@@ -304,7 +268,7 @@ impl PlanOptions {
 
     /// Set the tape microkernel policy (builder style).
     /// [`Microkernels::Scalar`] forces the plain scalar kernels —
-    /// bitwise-identical to the pre-SIMD tape engine — while
+    /// bitwise-identical to the pre-SIMD tape — while
     /// [`Microkernels::Auto`] (the default) picks the best SIMD
     /// implementation the host supports at bind time. Honored on
     /// [`crate::PlanCache`] hits like every [`ExecOptions`] field.
@@ -817,7 +781,7 @@ impl Contraction {
         let (kernel, csf, factors, accumulate) = self.take_operands()?;
         let source = source_from_csf(&csf, opts);
         // The cache re-applies the caller's exec options (thread count,
-        // engine) on a hit, so the returned plan binds as requested.
+        // microkernels) on a hit, so the returned plan binds as requested.
         let plan = cache.plan_from_parts(kernel, source, accumulate, opts)?;
         (*plan).clone().into_executor(csf, factors)
     }

@@ -22,12 +22,11 @@
 //! deterministic tile order and tree reduction. `threads = 1` skips all
 //! of this and is byte-identical to previous serial behavior.
 
-use crate::contraction::{Engine, Plan};
+use crate::contraction::Plan;
 use crate::{Result, SpttnError};
 use spttn_exec::{
-    execute_forest_into_guarded, execute_tape_into_guarded, validate_slotted_operands,
-    CompiledTape, ContractionOutput, ExecStats, OutputMut, ParallelExecutor, RunGuard, TapeReport,
-    Workspace,
+    execute_tape_into_guarded, validate_slotted_operands, CompiledTape, ContractionOutput,
+    ExecStats, OutputMut, ParallelExecutor, RunGuard, TapeReport, Workspace,
 };
 use spttn_tensor::{CooTensor, Csf, DenseTensor};
 use std::collections::HashMap;
@@ -188,17 +187,16 @@ pub struct Executor {
     /// Input slots each factor name fills (for [`Executor::set_factor`]).
     slots_by_name: HashMap<String, Vec<usize>>,
     workspace: Workspace,
-    /// Tiled multi-threaded engine (worker pool + per-thread workspaces
-    /// and partial outputs), present when the plan's [`crate::ExecOptions`]
+    /// Tiled multi-threaded executor (worker pool + per-thread
+    /// workspaces and partial outputs), present when the plan's [`crate::ExecOptions`]
     /// resolve to more than one thread *and* the tensor splits into more
     /// than one tile. `None` means the serial path, byte-identical to a
     /// single-threaded bind.
     par: Option<ParallelExecutor>,
-    /// The bind-time-compiled instruction tape, present when the plan's
-    /// [`Engine`] is [`Engine::Tape`] (the default). One immutable
-    /// program shared by every executing thread; the per-thread mutable
-    /// state lives in the workspaces.
-    tape: Option<Arc<CompiledTape>>,
+    /// The bind-time-compiled instruction tape: one immutable program
+    /// shared by every executing thread; the per-thread mutable state
+    /// lives in the workspaces.
+    tape: Arc<CompiledTape>,
     /// When the plan chose a non-natural storage order: maps leaf `e`
     /// of the CSF the caller bound to leaf `leaf_perm[e]` of the
     /// rebuilt tree, so [`Executor::set_sparse_values`] keeps accepting
@@ -215,10 +213,11 @@ pub struct Executor {
     coo_template: Option<CooTensor>,
 }
 
-/// Run a bound plan into a pre-validated output target, choosing the
-/// parallel or serial engine, and record the run's aggregated stats.
-/// Free function over the executor's split fields so both `execute`
-/// and `execute_into` can call it under their own borrows.
+/// Run a bound plan into a pre-validated output target, on the
+/// parallel executor or the serial workspace, and record the run's
+/// aggregated stats. Free function over the executor's split fields so
+/// both `execute` and `execute_into` can call it under their own
+/// borrows.
 #[allow(clippy::too_many_arguments)]
 fn run_parts(
     plan: &Plan,
@@ -226,46 +225,24 @@ fn run_parts(
     factors: &[DenseTensor],
     workspace: &mut Workspace,
     par: &mut Option<ParallelExecutor>,
-    tape: &Option<Arc<CompiledTape>>,
+    tape: &CompiledTape,
     last_stats: &mut ExecStats,
     out: OutputMut<'_>,
     guard: Option<&RunGuard>,
 ) -> Result<()> {
-    let res = match par.as_mut() {
-        // The parallel engine carries its own tape (shared program,
-        // per-tile state) when one was compiled at bind.
-        Some(engine) => engine.execute_into_guarded(
-            &plan.kernel,
-            &plan.path,
-            &plan.forest,
-            csf,
-            factors,
-            out,
-            guard,
-        ),
-        None => match tape {
-            Some(t) => {
-                execute_tape_into_guarded(t, &plan.kernel, csf, factors, workspace, out, guard)
-            }
-            None => execute_forest_into_guarded(
-                &plan.kernel,
-                &plan.path,
-                &plan.forest,
-                csf,
-                factors,
-                workspace,
-                out,
-                guard,
-            ),
-        },
-    };
-    if res.is_ok() {
-        *last_stats = match par.as_ref() {
-            Some(engine) => engine.stats(),
-            None => workspace.stats(),
-        };
+    match par.as_mut() {
+        // The parallel executor carries its own handle on the tape
+        // (shared program, per-tile state).
+        Some(p) => {
+            p.execute_into_guarded(&plan.kernel, csf, factors, out, guard)?;
+            *last_stats = p.stats();
+        }
+        None => {
+            execute_tape_into_guarded(tape, &plan.kernel, csf, factors, workspace, out, guard)?;
+            *last_stats = workspace.stats();
+        }
     }
-    res
+    Ok(())
 }
 
 /// Bind-time workspace admission under
@@ -342,38 +319,32 @@ impl Executor {
         }
         validate_slotted_operands(kernel, &csf, &factors)?;
 
-        // Tape engine (the default): compile the plan's nest to a flat
-        // instruction program exactly once per bind; serial and
-        // parallel executions share the same immutable tape.
-        let tape = match plan.exec.engine {
-            Engine::Tape => {
-                // `compile_with` resolves the plan's microkernel
-                // policy against the host CPU (and the
-                // `SPTTN_MICROKERNELS` override) once, here; the
-                // selected kernels ride in the tape as fn pointers.
-                let tape = CompiledTape::compile_with(
-                    kernel,
-                    &plan.path,
-                    &plan.forest,
-                    &plan.buffers,
-                    plan.exec.microkernels,
-                )?;
-                // Static verification gate: every debug build proves
-                // the program well-formed before it can run;
-                // release builds opt in via
-                // `PlanOptions::with_verify(true)`.
-                if plan.exec.verify || cfg!(debug_assertions) {
-                    tape.verify().map_err(SpttnError::from)?;
-                }
-                Some(Arc::new(tape))
-            }
-            Engine::Interp => None,
-        };
-        // Parallel engine: only when the admitted thread count is >1
+        // Compile the plan's nest to a flat instruction program exactly
+        // once per bind; serial and parallel executions share the same
+        // immutable tape. `compile_with` resolves the plan's microkernel
+        // policy against the host CPU (and the `SPTTN_MICROKERNELS`
+        // override) once, here; the selected kernels ride in the tape
+        // as fn pointers.
+        let tape = CompiledTape::compile_with(
+            kernel,
+            &plan.path,
+            &plan.forest,
+            &plan.buffers,
+            plan.exec.microkernels,
+        )?;
+        // Static verification gate: every debug build proves the
+        // program well-formed before it can run; release builds opt in
+        // via `PlanOptions::with_verify(true)`.
+        if plan.exec.verify || cfg!(debug_assertions) {
+            tape.verify().map_err(SpttnError::from)?;
+        }
+        let tape = Arc::new(tape);
+        // Parallel executor: only when the admitted thread count is >1
         // and the tensor actually splits (a single tile would duplicate
         // the serial path with extra copies).
         let par = if threads > 1 {
-            let mut engine = ParallelExecutor::new(
+            let p = ParallelExecutor::new(
+                Arc::clone(&tape),
                 kernel,
                 &plan.path,
                 &plan.forest,
@@ -381,26 +352,21 @@ impl Executor {
                 &csf,
                 threads,
             );
-            if let Some(t) = &tape {
-                engine = engine.with_tape(Arc::clone(t));
-            }
-            (engine.n_tiles() > 1).then_some(engine)
+            (p.n_tiles() > 1).then_some(p)
         } else {
             None
         };
         // The serial workspace backs only the `par == None` path; when
-        // the engine owns per-thread workspaces, keep a spec-free
-        // placeholder instead of a dead replica of every Eq.-5 buffer.
-        let mut workspace = if par.is_some() {
-            Workspace::from_specs(kernel, &plan.path, &plan.forest, &[])
+        // the parallel executor owns per-thread workspaces, keep a
+        // spec-free placeholder instead of a dead replica of every
+        // Eq.-5 buffer.
+        let workspace = if par.is_some() {
+            Workspace::from_specs(&plan.path, &plan.forest, &[])
         } else {
-            Workspace::from_specs(kernel, &plan.path, &plan.forest, &plan.buffers)
+            let mut ws = Workspace::from_specs(&plan.path, &plan.forest, &plan.buffers);
+            ws.prepare_tape(&tape);
+            ws
         };
-        if par.is_none() {
-            if let Some(t) = &tape {
-                workspace.prepare_tape(t);
-            }
-        }
         let (out_dense, out_vals, coo_template) = if kernel.output_sparse {
             (
                 DenseTensor::zeros(&[]),
@@ -449,31 +415,22 @@ impl Executor {
         &self.workspace
     }
 
-    /// The tiled parallel engine, when this executor runs multi-threaded
+    /// The tiled parallel executor, when this executor runs multi-threaded
     /// (plan bound with >1 thread and a tensor that splits into >1 tile).
     pub fn parallel(&self) -> Option<&ParallelExecutor> {
         self.par.as_ref()
     }
 
-    /// Number of threads executions actually use: the parallel engine's
+    /// Number of threads executions actually use: the parallel executor's
     /// tile count, or 1 on the serial path.
     pub fn threads(&self) -> usize {
         self.par.as_ref().map_or(1, ParallelExecutor::n_tiles)
     }
 
-    /// The engine executions run on ([`Engine::Tape`] by default).
-    pub fn engine(&self) -> Engine {
-        match self.tape {
-            Some(_) => Engine::Tape,
-            None => Engine::Interp,
-        }
-    }
-
-    /// The compiled instruction tape, when running on [`Engine::Tape`]
-    /// (exposed for diagnostics: program size, cursor and finger
-    /// counts).
-    pub fn tape(&self) -> Option<&CompiledTape> {
-        self.tape.as_deref()
+    /// The compiled instruction tape every execution runs (exposed for
+    /// diagnostics: program size, cursor and finger counts).
+    pub fn tape(&self) -> &CompiledTape {
+        &self.tape
     }
 
     /// Microkernel dispatch counters of the most recent

@@ -71,7 +71,7 @@
 
 // The facade only re-exports and composes the crates below; all
 // unsafe code in the workspace lives in `spttn_exec::parallel`
-// (scoped-thread lifetime erasure) and `spttn_exec::simd` (vendor
+// (raw-pointer job hand-off to the worker pool) and `spttn_exec::simd` (vendor
 // SIMD intrinsics behind bind-time feature detection).
 #![forbid(unsafe_code)]
 
@@ -81,7 +81,7 @@ pub mod executor;
 
 pub use cache::{PlanCache, PlanKey};
 pub use contraction::{
-    Contraction, CostModel, Engine, ExecOptions, Plan, PlanOptions, RunBudget, Shapes, Threads,
+    Contraction, CostModel, ExecOptions, Plan, PlanOptions, RunBudget, Shapes, Threads,
 };
 pub use executor::Executor;
 pub use spttn_core::{Result, Scalar, SpttnError};

@@ -106,35 +106,36 @@ fn failed_flights_are_not_cached() {
 }
 
 /// A cache hit must honor the *caller's* execution options, not the
-/// flight leader's: the symbolic nest is shared, but engine and thread
-/// count are re-applied on mismatch. Matching options keep sharing one
+/// flight leader's: the symbolic nest is shared, but microkernel policy
+/// and thread count are re-applied on mismatch. Matching options keep sharing one
 /// `Arc` (no clone).
 #[test]
 fn cache_hit_reapplies_callers_exec_options() {
-    use spttn::{Engine, Threads};
+    use spttn::{Microkernels, Threads};
     let cache = PlanCache::new();
     let tape_opts = PlanOptions::default();
     let p1 = cache
         .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &tape_opts)
         .unwrap();
-    assert_eq!(p1.exec().engine, Engine::Tape);
+    assert_eq!(p1.exec().threads, Threads::N(1));
 
-    // Same key, different engine: hit, but the returned plan must bind
-    // the interpreter (the documented oracle cross-check workflow).
-    let interp_opts = PlanOptions::default().with_engine(Engine::Interp);
-    let p2 = cache
-        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &interp_opts)
-        .unwrap();
-    assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    assert_eq!(p2.exec().engine, Engine::Interp);
-    assert!(!Arc::ptr_eq(&p1, &p2), "mismatched exec needs a new Arc");
-
-    // Different thread count likewise.
+    // Same key, different thread count: hit, but the returned plan must
+    // bind on the caller's threads.
     let par_opts = PlanOptions::default().with_threads(Threads::N(4));
-    let p3 = cache
+    let p2 = cache
         .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &par_opts)
         .unwrap();
-    assert_eq!(p3.exec().threads, Threads::N(4));
+    assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    assert_eq!(p2.exec().threads, Threads::N(4));
+    assert!(!Arc::ptr_eq(&p1, &p2), "mismatched exec needs a new Arc");
+
+    // Different microkernel policy likewise.
+    let scalar_opts = PlanOptions::default().with_microkernels(Microkernels::Scalar);
+    let p3 = cache
+        .plan(Contraction::parse(EXPR).unwrap(), &shapes(), &scalar_opts)
+        .unwrap();
+    assert_eq!(p3.exec().microkernels, Microkernels::Scalar);
+    assert_eq!(p3.exec().threads, Threads::N(1));
 
     // Matching options keep sharing the cached Arc untouched.
     let p4 = cache
@@ -181,7 +182,7 @@ fn cache_hit_honors_verify_flag() {
 }
 
 /// Regression: the microkernel policy must survive a cache hit exactly
-/// like engine/threads/verify. A bitwise-reproducibility caller forcing
+/// like threads/verify. A bitwise-reproducibility caller forcing
 /// `Microkernels::Scalar` on a kernel some earlier caller planned with
 /// the default `Auto` must get a plan that binds scalar kernels — not
 /// silently inherit the flight leader's SIMD selection.

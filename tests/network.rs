@@ -10,7 +10,7 @@ use rand::prelude::*;
 use spttn::exec::naive_einsum;
 use spttn::ir::enumerate_paths;
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
-use spttn::{Engine, PlanCache, PlanOptions, Shapes, Threads};
+use spttn::{PlanCache, PlanOptions, Shapes, Threads};
 use spttn_net::{modeled_path_flops, NetOptions, Network, OrderStrategy};
 use std::sync::Arc;
 
@@ -86,32 +86,29 @@ impl Fixture {
         named
     }
 
-    /// Plan + bind + execute under every (strategy × threads × engine)
+    /// Plan + bind + execute under every (strategy × threads)
     /// combination, sharing one `PlanCache`, and compare to the oracle.
     fn check_all(&self, expr: &str) {
         let cache = PlanCache::new();
         for strategy in [OrderStrategy::Greedy, OrderStrategy::Optimal] {
             for threads in [1usize, 4] {
-                for engine in [Engine::Tape, Engine::Interp] {
-                    let popts = PlanOptions::default()
-                        .with_threads(Threads::N(threads))
-                        .with_engine(engine)
-                        .with_microkernels(spttn::Microkernels::Scalar);
-                    let nopts = NetOptions::default()
-                        .with_order(strategy)
-                        .with_plan_options(popts);
-                    let nplan = self
-                        .net
-                        .plan_cached(&cache, &self.shapes, &nopts)
-                        .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
-                    let mut exec = nplan.bind(self.csf.clone(), &self.named()).unwrap();
-                    let got = exec.execute().unwrap();
-                    assert!(
-                        got.to_dense().approx_eq(&self.want, TOL),
-                        "{expr}: mismatch at {strategy}, {threads} thread(s), {engine:?}\n{}",
-                        nplan.describe()
-                    );
-                }
+                let popts = PlanOptions::default()
+                    .with_threads(Threads::N(threads))
+                    .with_microkernels(spttn::Microkernels::Scalar);
+                let nopts = NetOptions::default()
+                    .with_order(strategy)
+                    .with_plan_options(popts);
+                let nplan = self
+                    .net
+                    .plan_cached(&cache, &self.shapes, &nopts)
+                    .unwrap_or_else(|e| panic!("plan {expr} ({strategy}): {e}"));
+                let mut exec = nplan.bind(self.csf.clone(), &self.named()).unwrap();
+                let got = exec.execute().unwrap();
+                assert!(
+                    got.to_dense().approx_eq(&self.want, TOL),
+                    "{expr}: mismatch at {strategy}, {threads} thread(s)\n{}",
+                    nplan.describe()
+                );
             }
         }
     }

@@ -4,6 +4,8 @@
 //! and the degenerate shapes (empty tensor, single root fiber, more
 //! threads than roots) must all work.
 
+mod support;
+
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, CooTensor, Csf, DenseTensor, SparsityProfile};
@@ -231,13 +233,10 @@ fn last_stats_reports_per_execution_dispatches() {
     // sits outside every sparse loop; never less than serial.
     assert!(par.last_stats().total() >= s1.total());
 
-    // The process-global compat shim keeps accumulating (other tests
-    // in this binary may bump it concurrently, so only a lower bound
-    // is asserted).
-    let before = spttn::exec::interp::stats::snapshot();
-    serial.execute().unwrap();
-    let after = spttn::exec::interp::stats::snapshot();
-    assert!(after.axpy - before.axpy >= serial.last_stats().axpy);
+    // Each executor's per-execution stats are the whole record: they
+    // match the reference interpreter replayed over the same tiles.
+    assert_eq!(support::reference(&serial).1.total(), s1.total());
+    assert_eq!(support::reference(&par).1.total(), par.last_stats().total());
 }
 
 /// `Threads::Auto` resolves to the machine's parallelism and binds.

@@ -1,26 +1,30 @@
 //! Determinism contract of the SIMD microkernel layer, end to end
 //! through the facade:
 //!
-//! - the default (`Microkernels::Auto`) tape agrees with the scalar
-//!   interpreter oracle to ≤1e-9 on rank-specialization-friendly
+//! - the default (`Microkernels::Auto`) tape agrees with the reference
+//!   interpreter to ≤1e-9 on rank-specialization-friendly
 //!   kernels (rank ∈ {8, 16, 32} hits the fixed-trip microkernels);
 //! - a parallel SIMD tape is bitwise run-to-run deterministic at a
 //!   fixed thread count, both across repeat executions of one bind and
 //!   across independent binds of the same plan;
-//! - `Microkernels::Scalar` reproduces the interpreter bitwise — the
-//!   opt-out knob really does restore the pre-SIMD operation order.
+//! - `Microkernels::Scalar` reproduces the reference interpreter
+//!   bitwise at 1 and 4 threads — the opt-out knob really does restore
+//!   the pre-SIMD operation order.
 //!
 //! Every assertion here also holds when `SPTTN_MICROKERNELS=scalar`
 //! forces the whole suite scalar (the CI leg): Auto then resolves to
 //! the scalar kernels, and scalar-vs-oracle / determinism claims are
 //! only easier.
 
+mod support;
+
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
 use spttn::{
-    Contraction, ContractionOutput, CostModel, Engine, Microkernels, PlanOptions, Shapes, Threads,
+    Contraction, ContractionOutput, CostModel, Executor, Microkernels, PlanOptions, Shapes, Threads,
 };
+use support::reference;
 
 const TOL: f64 = 1e-9;
 
@@ -43,14 +47,13 @@ fn operands(kernel: &Kernel, nnz: usize, seed: u64) -> (Csf, Vec<(String, DenseT
     (csf, factors)
 }
 
-fn run(
+fn bind(
     kernel: &Kernel,
     csf: &Csf,
     factors: &[(String, DenseTensor)],
-    engine: Engine,
     micro: Microkernels,
     threads: usize,
-) -> ContractionOutput {
+) -> Executor {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
             &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
@@ -58,18 +61,12 @@ fn run(
                 buffer_dim_bound: 2,
             })
             .with_threads(Threads::N(threads))
-            .with_engine(engine)
             .with_microkernels(micro),
         )
         .expect("planning succeeds");
-    if engine == Engine::Tape {
-        plan.verify_tape().expect("SIMD tape verifies clean");
-    }
+    plan.verify_tape().expect("SIMD tape verifies clean");
     let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
-    plan.bind(csf.clone(), &refs)
-        .expect("bind succeeds")
-        .execute()
-        .unwrap()
+    plan.bind(csf.clone(), &refs).expect("bind succeeds")
 }
 
 fn bits(out: &ContractionOutput) -> Vec<u64> {
@@ -92,26 +89,14 @@ fn specialization_kernels() -> Vec<(Kernel, usize, u64)> {
 fn simd_tape_matches_interp_oracle() {
     for (kernel, nnz, seed) in specialization_kernels() {
         let (csf, factors) = operands(&kernel, nnz, seed);
-        let oracle = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Interp,
-            Microkernels::Auto, // interp is always scalar; knob is inert
-            1,
-        );
         for threads in [1usize, 4] {
-            let simd = run(
-                &kernel,
-                &csf,
-                &factors,
-                Engine::Tape,
-                Microkernels::Auto,
-                threads,
-            );
+            let mut exec = bind(&kernel, &csf, &factors, Microkernels::Auto, threads);
+            // The reference is always scalar; the knob only moves the tape.
+            let (oracle, _) = reference(&exec);
+            let simd = exec.execute().unwrap();
             assert!(
                 oracle.to_dense().approx_eq(&simd.to_dense(), TOL),
-                "SIMD tape diverged from interp oracle: {} at {threads} threads",
+                "SIMD tape diverged from the reference: {} at {threads} threads",
                 kernel.to_einsum()
             );
         }
@@ -163,29 +148,19 @@ fn parallel_simd_tape_is_run_to_run_bitwise_deterministic() {
 fn scalar_forced_tape_reproduces_interp_bitwise() {
     for (kernel, nnz, seed) in specialization_kernels() {
         let (csf, factors) = operands(&kernel, nnz, seed);
-        let interp = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Interp,
-            Microkernels::Scalar,
-            1,
-        );
-        let scalar_tape = run(
-            &kernel,
-            &csf,
-            &factors,
-            Engine::Tape,
-            Microkernels::Scalar,
-            1,
-        );
-        // The scalar-forced tape runs the same generic loops in the
-        // same order as the interpreter — bit-for-bit, not just ≤1e-9.
-        assert_eq!(
-            bits(&interp),
-            bits(&scalar_tape),
-            "Microkernels::Scalar must restore the pre-SIMD operation order: {}",
-            kernel.to_einsum()
-        );
+        for threads in [1usize, 4] {
+            let mut exec = bind(&kernel, &csf, &factors, Microkernels::Scalar, threads);
+            let (interp, _) = reference(&exec);
+            let scalar_tape = exec.execute().unwrap();
+            // The scalar-forced tape runs the same generic loops in the
+            // same order as the interpreter (and reduces the same tile
+            // partials) — bit-for-bit, not just ≤1e-9.
+            assert_eq!(
+                bits(&interp),
+                bits(&scalar_tape),
+                "Microkernels::Scalar must restore the pre-SIMD operation order: {} at {threads} threads",
+                kernel.to_einsum()
+            );
+        }
     }
 }

@@ -1,19 +1,22 @@
-//! Differential harness: the tape engine vs the oracle interpreter.
+//! Differential harness: the compiled tape vs the reference
+//! interpreter.
 //!
 //! Every standard kernel (MTTKRP, TTMc, TTTP, all-mode TTMc, SpMV)
 //! plus randomized 3-/4-mode expressions, under **all four cost
-//! models × threads {1, 4} × engines {Tape, Interp}**: the two engines
-//! must agree to ≤1e-9 everywhere, parallel reductions must be
-//! bitwise-reproducible run to run, and the `+=` accumulate and
-//! rebinding (`set_factor` / `set_sparse_values`) paths must behave
-//! identically on both engines.
+//! models × threads {1, 4}**: the bound tape and the reference
+//! interpreter replayed over the executor's tiles
+//! ([`support::reference`]) must agree to ≤1e-9 everywhere with equal
+//! dispatch counts, parallel reductions must be bitwise-reproducible
+//! run to run, and the `+=` accumulate and rebinding (`set_factor` /
+//! `set_sparse_values`) paths must match the reference too.
+
+mod support;
 
 use rand::prelude::*;
 use spttn::ir::{stdkernels, Kernel};
 use spttn::tensor::{random_coo, random_dense, Csf, DenseTensor, SparsityProfile};
-use spttn::{
-    Contraction, ContractionOutput, CostModel, Engine, Executor, PlanOptions, Shapes, Threads,
-};
+use spttn::{Contraction, ContractionOutput, CostModel, Executor, PlanOptions, Shapes, Threads};
+use support::reference;
 
 const TOL: f64 = 1e-9;
 
@@ -51,23 +54,18 @@ fn bind_at(
     factors: &[(String, DenseTensor)],
     model: CostModel,
     threads: usize,
-    engine: Engine,
 ) -> Executor {
     let plan = Contraction::from_kernel(kernel.clone())
         .plan(
             &Shapes::new().with_profile(SparsityProfile::from_csf(csf)),
-            &PlanOptions::with_cost_model(model)
-                .with_threads(Threads::N(threads))
-                .with_engine(engine),
+            &PlanOptions::with_cost_model(model).with_threads(Threads::N(threads)),
         )
         .expect("planning succeeds");
-    if engine == Engine::Tape {
-        // Every tape the differential suite runs must also prove out
-        // statically (bind re-checks this in debug builds; asserting
-        // here keeps the invariant visible in release runs too).
-        plan.verify_tape()
-            .expect("differential tape verifies clean");
-    }
+    // Every tape the differential suite runs must also prove out
+    // statically (bind re-checks this in debug builds; asserting here
+    // keeps the invariant visible in release runs too).
+    plan.verify_tape()
+        .expect("differential tape verifies clean");
     let refs: Vec<(&str, &DenseTensor)> = factors.iter().map(|(n, t)| (n.as_str(), t)).collect();
     plan.bind(csf.clone(), &refs).expect("bind succeeds")
 }
@@ -80,28 +78,25 @@ fn bits(out: &ContractionOutput) -> Vec<u64> {
         .collect()
 }
 
-/// The full matrix: kernels × models × threads, tape vs interpreter
-/// ≤1e-9 (the engines mirror each other's operation order, so they are
+/// The full matrix: kernels × models × threads, tape vs reference
+/// ≤1e-9 (the two mirror each other's operation order, so they are
 /// bitwise equal in practice) and bitwise run-to-run reproducibility
-/// per engine.
+/// of each.
 fn differential(kernel: &Kernel, nnz: usize, seed: u64) {
     let (csf, factors) = operands(kernel, nnz, seed);
     for model in MODELS {
         for threads in [1usize, 4] {
-            let mut interp = bind_at(kernel, &csf, &factors, model, threads, Engine::Interp);
-            let mut tape = bind_at(kernel, &csf, &factors, model, threads, Engine::Tape);
-            assert_eq!(tape.engine(), Engine::Tape);
-            assert_eq!(interp.engine(), Engine::Interp);
-            let a = interp.execute().unwrap();
+            let mut tape = bind_at(kernel, &csf, &factors, model, threads);
+            let (a, interp_stats) = reference(&tape);
             let b = tape.execute().unwrap();
             assert!(
                 a.to_dense().approx_eq(&b.to_dense(), TOL),
-                "engines diverged: {} under {model:?} at {threads} threads",
+                "tape diverged from the reference: {} under {model:?} at {threads} threads",
                 kernel.to_einsum()
             );
-            // Same dispatch decisions on both engines.
+            // Same dispatch decisions on both.
             assert_eq!(
-                interp.last_stats().total(),
+                interp_stats.total(),
                 tape.last_stats().total(),
                 "dispatch counts diverged: {} under {model:?}",
                 kernel.to_einsum()
@@ -109,11 +104,11 @@ fn differential(kernel: &Kernel, nnz: usize, seed: u64) {
             // Bitwise-identical parallel reductions, run to run.
             let b2 = tape.execute().unwrap();
             assert_eq!(bits(&b), bits(&b2), "tape is not run-to-run bitwise stable");
-            let a2 = interp.execute().unwrap();
+            let (a2, _) = reference(&tape);
             assert_eq!(
                 bits(&a),
                 bits(&a2),
-                "interp is not run-to-run bitwise stable"
+                "reference is not run-to-run bitwise stable"
             );
         }
     }
@@ -163,8 +158,8 @@ fn randomized_4mode_expression_differential() {
     differential(&stdkernels::ttmc(&[12, 10, 11, 9], &[3, 4, 5]), 500, 7);
 }
 
-/// `+=` accumulate path: both engines stack two executions on top of
-/// the bound output identically.
+/// `+=` accumulate path: the tape stacks two executions on top of the
+/// bound output, at every thread count, to twice the reference.
 #[test]
 fn accumulate_path_matches_across_engines() {
     let mut rng = StdRng::seed_from_u64(21);
@@ -176,37 +171,40 @@ fn accumulate_path_matches_across_engines() {
         .with_dims(&[("i", 24), ("j", 20), ("k", 22), ("a", 6)])
         .with_profile(SparsityProfile::from_csf(&csf));
     let mut outs = Vec::new();
-    for engine in [Engine::Interp, Engine::Tape] {
-        for threads in [1usize, 4] {
-            let plan = Contraction::parse("A(i,a) += T(i,j,k) * B(j,a) * C(k,a)")
-                .unwrap()
-                .plan(
-                    &shapes,
-                    &PlanOptions::with_cost_model(CostModel::BlasAware {
-                        buffer_dim_bound: 2,
-                    })
-                    .with_threads(Threads::N(threads))
-                    .with_engine(engine),
-                )
-                .unwrap();
-            assert!(plan.accumulate());
-            let mut exec = plan.bind(csf.clone(), &[("B", &b), ("C", &c)]).unwrap();
-            let mut out = exec.output_template();
-            exec.execute_into(&mut out).unwrap();
-            exec.execute_into(&mut out).unwrap(); // accumulates: 2×
-            outs.push(out.to_dense());
+    for threads in [1usize, 4] {
+        let plan = Contraction::parse("A(i,a) += T(i,j,k) * B(j,a) * C(k,a)")
+            .unwrap()
+            .plan(
+                &shapes,
+                &PlanOptions::with_cost_model(CostModel::BlasAware {
+                    buffer_dim_bound: 2,
+                })
+                .with_threads(Threads::N(threads)),
+            )
+            .unwrap();
+        assert!(plan.accumulate());
+        let mut exec = plan.bind(csf.clone(), &[("B", &b), ("C", &c)]).unwrap();
+        if outs.is_empty() {
+            // The reference contracts once; two executions make 2×.
+            let mut twice = reference(&exec).0.to_dense();
+            twice.as_mut_slice().iter_mut().for_each(|v| *v += *v);
+            outs.push(twice);
         }
+        let mut out = exec.output_template();
+        exec.execute_into(&mut out).unwrap();
+        exec.execute_into(&mut out).unwrap(); // accumulates: 2×
+        outs.push(out.to_dense());
     }
     for o in &outs[1..] {
         assert!(
             outs[0].approx_eq(o, TOL),
-            "accumulate path diverged across engines/threads"
+            "accumulate path diverged from the reference across threads"
         );
     }
 }
 
-/// Rebinding path: `set_factor` + `set_sparse_values` feed both
-/// engines identically (ALS-sweep shape).
+/// Rebinding path: `set_factor` + `set_sparse_values` feed the tape
+/// and the reference identically (ALS-sweep shape).
 #[test]
 fn rebind_path_matches_across_engines() {
     let kernel = stdkernels::mttkrp(&[30, 24, 26], 7);
@@ -215,51 +213,36 @@ fn rebind_path_matches_across_engines() {
     let new_f1 = random_dense(&[24, 7], &mut rng);
     let new_vals: Vec<f64> = csf.vals().iter().map(|v| v * 0.25 + 1.0).collect();
     let mut outs = Vec::new();
-    for engine in [Engine::Interp, Engine::Tape] {
-        for threads in [1usize, 4] {
-            let mut exec = bind_at(
-                &kernel,
-                &csf,
-                &factors,
-                CostModel::MaxBufferSize,
-                threads,
-                engine,
-            );
-            exec.execute().unwrap(); // stale state to overwrite
-            exec.set_factor("F1", &new_f1).unwrap();
-            exec.set_sparse_values(&new_vals).unwrap();
-            outs.push(exec.execute().unwrap().to_dense());
+    for threads in [1usize, 4] {
+        let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferSize, threads);
+        exec.execute().unwrap(); // stale state to overwrite
+        exec.set_factor("F1", &new_f1).unwrap();
+        exec.set_sparse_values(&new_vals).unwrap();
+        if outs.is_empty() {
+            outs.push(reference(&exec).0.to_dense());
         }
+        outs.push(exec.execute().unwrap().to_dense());
     }
     for o in &outs[1..] {
         assert!(
             outs[0].approx_eq(o, TOL),
-            "rebind path diverged across engines/threads"
+            "rebind path diverged from the reference across threads"
         );
     }
 }
 
-/// Sparse (pattern-sharing) outputs accumulate and rebind identically
-/// on both engines too.
+/// Sparse (pattern-sharing) outputs match the reference too.
 #[test]
 fn sparse_output_accumulate_across_engines() {
     let kernel = stdkernels::tttp(&[14, 15, 16], 4);
     let (csf, factors) = operands(&kernel, 350, 41);
     let mut outs = Vec::new();
-    for engine in [Engine::Interp, Engine::Tape] {
-        for threads in [1usize, 4] {
-            let mut exec = bind_at(
-                &kernel,
-                &csf,
-                &factors,
-                CostModel::MaxBufferDim,
-                threads,
-                engine,
-            );
-            let mut out = exec.output_template();
-            exec.execute_into(&mut out).unwrap();
-            outs.push(out.to_dense());
-        }
+    for threads in [1usize, 4] {
+        let mut exec = bind_at(&kernel, &csf, &factors, CostModel::MaxBufferDim, threads);
+        outs.push(reference(&exec).0.to_dense());
+        let mut out = exec.output_template();
+        exec.execute_into(&mut out).unwrap();
+        outs.push(out.to_dense());
     }
     for o in &outs[1..] {
         assert!(outs[0].approx_eq(o, TOL), "sparse outputs diverged");
